@@ -1,23 +1,22 @@
-"""Cluster simulator at fleet scale: vectorized vs batched vs scalar.
+"""Cluster simulator at fleet scale: vectorized core vs scalar reference.
 
-The PR-6 acceptance benchmark. Three measurements share one scenario
-family (PAPI replicas under ``slo-slack`` routing with SLO admission
-control, two tenants, sustained past-capacity Poisson load so routing
-probes see real queues):
+Three measurements share one scenario family (PAPI replicas under
+``slo-slack`` routing with SLO admission control, two tenants,
+sustained past-capacity Poisson load so routing probes see real
+queues):
 
 * **Equivalence traces** — a matrix of smaller runs (routers x admission
-  x MoE x speculation) executed through all three cores — the vectorized
-  array core (``core_mode="vectorized"``), the PR 5 fleet-batched event
-  core, and the scalar reference (per-replica probes + O(queue) rescans
-  + full per-iteration records) — asserting **zero** mismatches across
-  every aggregate, per-replica, and per-tenant output.
+  x MoE x speculation) executed through both cores — the vectorized
+  array core (``core_mode="vectorized"``) and the scalar reference
+  (per-replica probes + O(queue) rescans + full per-iteration records) —
+  asserting **zero** mismatches across every aggregate, per-replica,
+  and per-tenant output.
 * **The headline trace** — 1M requests x 64 replicas timed through the
-  vectorized and the PR 5 batched configurations; the acceptance bar is
-  a >= 5x wall-clock speedup.
+  vectorized core.
 * **The scalar reference leg** — the same scenario at 1/20 scale timed
-  through the scalar and vectorized configurations (the scalar core's
-  O(queue) admission rescans make full scale infeasible); the vectorized
-  core's bar there is >= 30x.
+  through the scalar and vectorized cores (the scalar core's O(queue)
+  admission rescans make full scale infeasible); the vectorized core's
+  bar there is >= 30x.
 
 Two more artifacts ride along in the payload: the vectorized core's
 fleet-version verdict-memo counters (``probe_memo`` — the > 0.5 hit
@@ -30,8 +29,9 @@ and every output are bit-reproducible anywhere); only the wall-clock
 seconds vary by host. Results land in ``results/BENCH_cluster.json``.
 
 Scale knobs (env): ``BENCH_CLUSTER_REQUESTS`` / ``BENCH_CLUSTER_REPLICAS``
-trim the headline trace for CI smoke runs — the speedup bars only apply
-at full scale (>= 1M requests), the zero-mismatch gate always.
+trim the headline trace for CI smoke runs — the speedup and hit-rate
+bars only apply at full scale (>= 1M requests), the zero-mismatch gate
+always.
 """
 
 import cProfile
@@ -67,7 +67,7 @@ REPLICAS = int(os.environ.get("BENCH_CLUSTER_REPLICAS", "64"))
 #: deepen through the arrival window and SLO admission control sheds
 #: interactive load through bounded defer/retry — the regime fleet-scale
 #: serving actually operates in, and where per-arrival admission probing
-#: (the scalar and batched cores' per-replica Python loops) dominates.
+#: (the scalar core's per-replica Python loops) dominates.
 RATE_PER_TENANT = 3200.0
 MAX_BATCH = 64
 #: The scalar reference's O(queue) rescans are quadratic in queue depth;
@@ -92,7 +92,6 @@ def headline_scenario(requests: int = None) -> ScenarioSpec:
                 ReplicaSpec(count=REPLICAS, max_batch_size=MAX_BATCH),
             ),
             detail="aggregate",
-            load_accounting="incremental",
         ),
         tenants=(
             TenantSpec(
@@ -118,18 +117,13 @@ def headline_scenario(requests: int = None) -> ScenarioSpec:
                 ),
             ),
         ),
-        routing=RoutingSpec(policy="slo-slack", batched=True),
+        routing=RoutingSpec(policy="slo-slack"),
     )
 
 
 def _vectorized(spec: ScenarioSpec) -> ScenarioSpec:
     """The array core: flat calendar + fleet arrays + verdict memo."""
     return apply_core_mode(spec, "vectorized")
-
-
-def _fast(spec: ScenarioSpec) -> ScenarioSpec:
-    """The PR 5 event core: fleet-batched pricing, incremental counters."""
-    return apply_core_mode(spec, "event")
 
 
 def _scalar(spec: ScenarioSpec) -> ScenarioSpec:
@@ -343,21 +337,14 @@ def run_cluster_benchmark():
     for case in EQUIVALENCE_CASES:
         spec = equivalence_scenario(*case)
         vectorized = comparable_outputs(run_scenario(_vectorized(spec)))
-        fast = comparable_outputs(run_scenario(_fast(spec)))
         scalar = comparable_outputs(run_scenario(_scalar(spec)))
-        if vectorized != fast or fast != scalar:
+        if vectorized != scalar:
             mismatches += 1
 
-    # Headline: vectorized vs the PR 5 batched core at full scale.
-    base = headline_scenario()
+    # Headline: the vectorized core at full scale.
     t0 = time.perf_counter()
-    vec_result = run_scenario(_vectorized(base))
+    vec_result = run_scenario(_vectorized(headline_scenario()))
     vec_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    fast_result = run_scenario(_fast(base))
-    fast_seconds = time.perf_counter() - t0
-    if comparable_outputs(vec_result) != comparable_outputs(fast_result):
-        mismatches += 1
 
     # Scalar reference leg at reduced scale (O(queue) rescans make the
     # scalar core infeasible at the full trace).
@@ -389,13 +376,10 @@ def run_cluster_benchmark():
         "router": "slo-slack",
         "rate_per_tenant": RATE_PER_TENANT,
         "max_batch_size": MAX_BATCH,
-        "equivalence_traces": len(EQUIVALENCE_CASES) + 2,
+        "equivalence_traces": len(EQUIVALENCE_CASES) + 1,
         "mismatches": mismatches,
         "vectorized_seconds": vec_seconds,
-        "batched_seconds": fast_seconds,
-        "speedup": fast_seconds / vec_seconds,
         "vectorized_requests_per_second": REQUESTS / vec_seconds,
-        "batched_requests_per_second": REQUESTS / fast_seconds,
         "scalar_reference": {
             "requests": scalar_requests,
             "scalar_seconds": scalar_seconds,
@@ -433,11 +417,8 @@ def test_cluster_scale(benchmark, show):
         ["trace", f"{payload['requests']} reqs x "
                   f"{payload['replicas']} replicas (slo-slack)"],
         ["vectorized seconds", payload["vectorized_seconds"]],
-        ["batched seconds", payload["batched_seconds"]],
-        ["speedup (vec vs batched)", payload["speedup"]],
         ["vectorized reqs/s",
          payload["vectorized_requests_per_second"]],
-        ["batched reqs/s", payload["batched_requests_per_second"]],
         ["scalar leg reqs", scalar_ref["requests"]],
         ["scalar leg seconds", scalar_ref["scalar_seconds"]],
         ["speedup (vec vs scalar)", scalar_ref["speedup"]],
@@ -462,16 +443,15 @@ def test_cluster_scale(benchmark, show):
         format_table(
             ["metric", "value"],
             rows,
-            title="Vectorized cluster core vs batched and scalar references",
+            title="Vectorized cluster core vs the scalar reference",
         )
     )
 
-    # The acceptance bars: zero divergence across all three cores and a
-    # live verdict memo always; the >= 5x wall-clock win over the PR 5
-    # batched core, the >= 30x win over the scalar reference at its
-    # reduced-scale leg, and the > 0.5 memo hit rate only at the full
-    # 1M-request scale — trimmed CI smoke runs gate equivalence and
-    # memo liveness.
+    # The acceptance bars: zero divergence between the cores and a live
+    # verdict memo always; the >= 30x win over the scalar reference at
+    # its reduced-scale leg and the > 0.5 memo hit rate only at the
+    # full 1M-request scale — trimmed CI smoke runs gate equivalence
+    # and memo liveness.
     assert payload["mismatches"] == 0
     assert memo.get("probe_hits", 0) > 0, payload
     assert payload["phase_breakdown"]["phases"], payload
@@ -479,6 +459,5 @@ def test_cluster_scale(benchmark, show):
         payload
     )
     if payload["requests"] >= 1_000_000:
-        assert payload["speedup"] >= 5.0, payload
         assert scalar_ref["speedup"] >= 30.0, payload
         assert memo["hit_rate"] > 0.5, payload

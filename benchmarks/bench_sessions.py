@@ -11,11 +11,11 @@ openings, sustained load) drives two measurements:
   hit rate under affinity routing (locality the load-only router only
   finds by accident).
 * **Equivalence traces** — a matrix of session scenarios (routers x
-  colocated/disaggregated x arrival processes) executed through all
-  three cores with **zero** tolerated mismatches across every aggregate,
-  per-replica, per-tenant, prefix-cache, and session output — the
-  dynamic follow-up lane under the same bit-identity contract as the
-  static lanes.
+  colocated/disaggregated x arrival processes) executed through the
+  scalar and vectorized cores with **zero** tolerated mismatches across
+  every aggregate, per-replica, per-tenant, prefix-cache, and session
+  output — the dynamic follow-up lane under the same bit-identity
+  contract as the static lanes.
 
 The simulation itself is deterministic; only wall-clock seconds vary by
 host. Results land in ``results/BENCH_sessions.json``.
@@ -68,7 +68,6 @@ def payoff_scenario(policy: str) -> ScenarioSpec:
                 ReplicaSpec(count=REPLICAS, max_batch_size=16),
             ),
             detail="aggregate",
-            load_accounting="incremental",
             prefix_cache=PrefixCacheSpec(capacity_gb=16.0),
         ),
         tenants=(
@@ -92,7 +91,7 @@ def payoff_scenario(policy: str) -> ScenarioSpec:
                 ),
             ),
         ),
-        routing=RoutingSpec(policy=policy, batched=True),
+        routing=RoutingSpec(policy=policy),
     )
 
 
@@ -199,11 +198,11 @@ def run_sessions_benchmark():
     mismatches = 0
     for case in EQUIVALENCE_CASES:
         spec = equivalence_scenario(*case)
-        outputs = [
+        scalar, vectorized = (
             comparable_outputs(run_scenario(apply_core_mode(spec, core)))
-            for core in ("scalar", "event", "vectorized")
-        ]
-        if outputs[0] != outputs[1] or outputs[1] != outputs[2]:
+            for core in ("scalar", "vectorized")
+        )
+        if vectorized != scalar:
             mismatches += 1
 
     affinity = _policy_leg("session-affinity")

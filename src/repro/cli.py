@@ -749,8 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=CONTEXT_MODES)
     cluster.add_argument("--core", default="", choices=CORE_CHOICES,
                          help="pin the simulation core preset (scalar "
-                              "reference / batched event / vectorized "
-                              "array); all three report bit-identical "
+                              "reference / vectorized array, the "
+                              "default); both report bit-identical "
                               "summaries")
     cluster.set_defaults(fn=cmd_cluster)
 
@@ -772,8 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "on its own fleet copy)")
     run.add_argument("--core", default="", choices=CORE_CHOICES,
                      help="override each scenario's simulation core "
-                          "(scalar reference / batched event / vectorized "
-                          "array); summaries are bit-identical across "
+                          "(scalar reference / vectorized array, the "
+                          "default); summaries are bit-identical across "
                           "cores")
     run.add_argument("--json", default="",
                      help="export the full result (aggregate, replicas, "

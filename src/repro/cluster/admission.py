@@ -30,11 +30,8 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from repro.cluster.replica import Replica
 from repro.cluster.router import (
     PriceCache,
-    best_decode_completion_seconds,
-    projected_completion_seconds,
-    projected_completion_seconds_fleet,
+    best_completion_seconds,
     projected_prefill_completion_seconds,
-    projected_step_seconds_fleet,
 )
 from repro.errors import ConfigurationError
 from repro.serving.request import Request
@@ -87,7 +84,7 @@ class PathProber:
     arrival-to-first-token estimate, plus the KV transfer of the
     request's first-token context, plus the best completion the decode
     pool offers. The decode term delegates to
-    :func:`~repro.cluster.router.best_decode_completion_seconds`, so a
+    :func:`~repro.cluster.router.best_completion_seconds`, so a
     vectorized decode pool answers from its per-pool verdict memo and a
     scalar pool from per-replica projections — bit-identical either way.
 
@@ -98,9 +95,6 @@ class PathProber:
         interconnect: The KV-transfer cost model
             (:class:`~repro.cluster.interconnect.Interconnect`).
         price_cache: The shared router/admission price memo.
-        batched: Probe the decode pool fleet-batched (see
-            :class:`SLOAdmissionController`); projections are
-            bit-identical either way.
     """
 
     def __init__(
@@ -109,13 +103,11 @@ class PathProber:
         decode_pool: Sequence[Replica],
         interconnect: object,
         price_cache: Optional[PriceCache] = None,
-        batched: bool = True,
     ) -> None:
         self.prefill_pool = prefill_pool
         self.decode_pool = decode_pool
         self.interconnect = interconnect
         self.price_cache = price_cache
-        self.batched = batched
 
     def probe_min_completion(self, request: Request) -> float:
         """Earliest projected arrival-to-``<eos>`` across the full path."""
@@ -126,11 +118,8 @@ class PathProber:
             for replica in self.prefill_pool
         )
         transfer = self.interconnect.transfer_seconds(request.input_len + 1)
-        best_decode = best_decode_completion_seconds(
-            self.decode_pool,
-            request,
-            self.price_cache,
-            batched=self.batched,
+        best_decode = best_completion_seconds(
+            self.decode_pool, request, self.price_cache
         )
         return best_prefill + transfer + best_decode
 
@@ -146,11 +135,6 @@ class SLOAdmissionController:
             router price each distinct operating point once between them;
             ``None`` allocates a private cache.
         max_cache_entries: Bound on a privately allocated cache.
-        batched: Price the whole fleet's completion projections in one
-            fleet-batched pass per consultation (see
-            :func:`~repro.cluster.router.projected_completion_seconds_fleet`)
-            instead of one scalar probe per replica. Decisions are
-            bit-identical either way.
     """
 
     def __init__(
@@ -158,13 +142,11 @@ class SLOAdmissionController:
         policies: Mapping[str, TenantPolicy],
         price_cache: Optional[PriceCache] = None,
         max_cache_entries: int = 4096,
-        batched: bool = True,
     ) -> None:
         self.policies = dict(policies)
-        self.batched = batched
         self._price_cache = (
             price_cache if price_cache is not None
-            else PriceCache(max_cache_entries, share_equal_systems=batched)
+            else PriceCache(max_cache_entries)
         )
         self._defers_used: Dict[int, int] = {}
 
@@ -189,40 +171,14 @@ class SLOAdmissionController:
             or request.deadline_s is None
         ):
             return AdmissionDecision.ADMIT, 0.0
-        probe = getattr(replicas, "probe_min_completion", None)
-        if probe is not None:
-            # Vectorized fleets answer from the fleet-version verdict
-            # memo (bit-identical to min() over the fleet completion
-            # probe, O(1) while no router-visible state changed — which
-            # also covers the router's select() on this same arrival,
-            # so no per-arrival handoff memo is needed), and
-            # disaggregated fleets from the :class:`PathProber`'s
-            # cross-handoff projection. Both are pinned identical to
-            # their scalar counterparts, so the check precedes the
-            # ``batched`` split.
-            projected = probe(request)
-        elif self.batched:
-            steps = projected_step_seconds_fleet(
-                replicas, request, self._price_cache
-            )
-            completions = projected_completion_seconds_fleet(
-                replicas, request, self._price_cache, step_seconds=steps
-            )
-            # Hand this arrival's projections to the router: if the
-            # request is admitted, select() runs next against
-            # identical replica state and reuses them instead of
-            # re-probing.
-            self._price_cache.fleet_memo = (
-                replicas, request, now, steps, completions
-            )
-            projected = min(completions)
-        else:
-            projected = min(
-                projected_completion_seconds(
-                    replica, request, self._price_cache
-                )
-                for replica in replicas
-            )
+        # The best projected completion across the fleet view: the
+        # vectorized core's FleetState answers from its fleet-version
+        # verdict memo and a disaggregated fleet's PathProber from its
+        # cross-handoff projection; a list of scalar-core replicas takes
+        # the minimum over the per-replica reference probes.
+        projected = best_completion_seconds(
+            replicas, request, self._price_cache
+        )
         if now + projected <= request.deadline_s:
             return AdmissionDecision.ADMIT, 0.0
         if policy.action == "defer":

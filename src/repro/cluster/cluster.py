@@ -195,7 +195,7 @@ class ClusterSummary:
             empty for stateless policies.
         probe_memo: Fleet-version verdict-memo counters from the
             vectorized core (probe_hits, probe_misses, hit_rate,
-            runs_coalesced, version_bumps); empty under the event core.
+            runs_coalesced, version_bumps); empty under the scalar core.
         tenants: Per-tenant reports keyed by tenant name, in trace
             arrival order (single-tenant runs report one ``default``
             entry).
@@ -298,6 +298,11 @@ class ClusterSummary:
 class ClusterSimulator:
     """Drives N replicas through an arrival trace under a routing policy.
 
+    The scalar reference core (``core_mode="scalar"``): one event queue,
+    and every routing and admission probe walks the plain replica list
+    through the per-replica reference projections. It is the oracle the
+    :class:`VectorizedClusterSimulator` is pinned against, bit for bit.
+
     Args:
         replicas: The fleet, in replica-id order.
         router: Request-to-replica assignment policy.
@@ -369,7 +374,7 @@ class ClusterSimulator:
         """The admission controller's cross-handoff completion probe.
 
         ``decode_view`` is how this core sees the decode pool — the raw
-        replica list on the event cores, the pool's
+        replica list on the scalar core, the pool's
         :class:`~repro.cluster.fleetstate.FleetState` on the vectorized
         core — so the probe's decode term rides whatever machinery the
         core already prices stage-2 with.
@@ -380,7 +385,6 @@ class ClusterSimulator:
             decode_view,
             self.interconnect,
             self.admission.price_cache,
-            batched=self.admission.batched,
         )
 
     def _hint_prefix(self, request: Request) -> None:
@@ -606,7 +610,7 @@ class ClusterSimulator:
     ) -> ClusterSummary:
         """Fold the drained fleet into a :class:`ClusterSummary`.
 
-        Shared by the event-driven and vectorized cores — the report
+        Shared by the scalar and vectorized cores — the report
         layer is identical; only the event loops differ. ``router_cache``
         overrides the admission-price counters (the vectorized core
         reports its dense-table statistics); ``None`` reads the router's
@@ -764,22 +768,17 @@ class VectorizedClusterSimulator(ClusterSimulator):
         def push_followup(time_s: float, request: Request) -> None:
             calendar.push(time_s, ARRIVAL_CODE, request)
 
-        probe_min = getattr(fleet, "probe_min_completion", None)
-        # The admission controller's batched fast path, inlined: one
-        # verdict-memo probe and a handful of plain dict/float ops per
-        # storm member, no method-call round trip through decide().
-        # Mirrors SLOAdmissionController.decide branch for branch (the
-        # equivalence suite pins the outcomes); non-batched controllers
-        # keep the reference call.
-        inline_admission = (
-            admission is not None
-            and admission.batched
-            and probe_min is not None
-        )
+        # The admission controller, inlined: one verdict-memo probe and a
+        # handful of plain dict/float ops per storm member, no
+        # method-call round trip through decide(). Mirrors
+        # SLOAdmissionController.decide branch for branch (the
+        # equivalence suite pins the outcomes).
+        inline_admission = admission is not None
         if inline_admission:
+            probe_min = fleet.probe_min_completion
             policies = admission.policies
             defers_used = admission._defers_used
-            probe_batch = getattr(fleet, "probe_min_batch", None)
+            probe_batch = fleet.probe_min_batch
             upcoming = calendar.upcoming_arrivals
             # Version-keyed verdict rows: request_id -> projected best
             # completion, batch-priced for the current fleet version.
@@ -856,7 +855,7 @@ class VectorizedClusterSimulator(ClusterSimulator):
                                 # Verdict rows survive while the fleet
                                 # version holds still (rejections and
                                 # deferrals never bump it); a missing or
-                                # stale row triggers one batched pass
+                                # stale row triggers one batch-priced pass
                                 # over the gated members coming up.
                                 version = fleet.version
                                 if version == batch_version:
@@ -931,18 +930,6 @@ class VectorizedClusterSimulator(ClusterSimulator):
                                         rejected_counts[
                                             request.tenant
                                         ] += 1
-                    elif admission is not None:
-                        decision, backoff = admission.decide(
-                            request, fleet, now
-                        )
-                        if decision is AdmissionDecision.REJECT:
-                            request.state = RequestState.REJECTED
-                            rejected_counts[request.tenant] += 1
-                            admitted = False
-                        elif decision is AdmissionDecision.DEFER:
-                            deferral_counts[request.tenant] += 1
-                            push_arrival_after(backoff, request)
-                            admitted = False
                     if admitted:
                         index = select(request, fleet, now)
                         if not 0 <= index < replica_count:
@@ -1037,7 +1024,7 @@ class VectorizedClusterSimulator(ClusterSimulator):
     ) -> ClusterSummary:
         """The role-typed twin of :meth:`run`.
 
-        Same two-stage event semantics as the event core's disaggregated
+        Same two-stage event semantics as the scalar core's disaggregated
         path — the equivalence suite pins the summaries — with the decode
         pool behind its :class:`~repro.cluster.fleetstate.FleetState`:
         stage-2 routing and the admission prober's decode term answer

@@ -1,12 +1,13 @@
 """Array-backed fleet state: the vectorized cluster core's data plane.
 
-The event-driven cluster core (PR 5) answers every routing probe and
-admission projection by looping Python ``Replica`` objects — ~64 attribute
-walks, dict probes, and placement plans per arrival. This module keeps
-the *same* per-replica state machines but mirrors the fleet's load
-counters into flat numpy arrays, so the per-arrival hot path becomes a
-handful of vector operations across all replicas at once (the HBM-PIM
-simulator idiom: bank state as dense tensors advanced in bulk):
+The scalar reference core answers every routing probe and admission
+projection by looping Python ``Replica`` objects — attribute walks,
+queue scans, dict probes, and placement plans per replica per arrival.
+This module keeps the *same* per-replica state machines but mirrors the
+fleet's load counters into flat numpy arrays, so the per-arrival hot
+path becomes a handful of vector operations across all replicas at once
+(the HBM-PIM simulator idiom: bank state as dense tensors advanced in
+bulk):
 
 * :class:`FleetState` — a sequence view over the replicas plus fleet-wide
   arrays of the incremental load counters (``_remaining_tokens``, active/
@@ -14,10 +15,9 @@ simulator idiom: bank state as dense tensors advanced in bulk):
   (:meth:`FleetState.fleet_step_seconds`,
   :meth:`FleetState.fleet_completion_seconds`) project every replica's
   post-admission batch shape with vector arithmetic and gather prices
-  from per-group dense tables; misses are priced through the *same*
-  pinned-target :func:`~repro.systems.batch.price_steps_at` path the
-  fleet-batched core uses, so every lane stays bit-identical to the
-  scalar probe.
+  from per-group dense tables; misses are priced through one
+  pinned-target :func:`~repro.systems.batch.price_steps_at` call per
+  group, so every lane stays bit-identical to the scalar probe.
 * :class:`VectorReplica` — a :class:`~repro.cluster.replica.Replica`
   whose per-step bookkeeping runs on primitive slot arrays (remaining
   tokens and context per batch slot as plain ints) instead of request
@@ -31,10 +31,10 @@ configuration-equal systems serving one workload. The FC placement is
 *not* a pure function of ``(rlp, tlp)`` — PAPI's standing decision can
 lag the stateless ``rlp * tlp > alpha`` rule right after a TLP-policy
 register write — so each probe resolves every replica's target through
-that replica's own ``plan_fc_target`` (exactly as the scalar and
-fleet-batched reference probes do) and the target is part of the table
-index. This is the same key discipline the shared step-cost cache
-documents: divergent scheduler state between replicas can never alias.
+that replica's own ``plan_fc_target`` (exactly as the scalar reference
+probe does) and the target is part of the table index. This is the
+same key discipline the shared step-cost cache documents: divergent
+scheduler state between replicas can never alias.
 """
 
 from __future__ import annotations
@@ -473,10 +473,10 @@ class _PriceGroup:
     """One interchangeable-pricing group of a fleet's replicas.
 
     Replicas sharing a configuration-equal system and the same workload
-    price identically (the same grouping the PR 5 fleet-batched pricer
-    derives from the shared cache's scope), so one dense table of step
-    prices — indexed ``[fc target, rlp, tlp, context bucket]``, ``NaN``
-    marking unpriced points — serves them all.
+    price identically (the equality the shared price cache scopes by),
+    so one dense table of step prices — indexed ``[fc target, rlp, tlp,
+    context bucket]``, ``NaN`` marking unpriced points — serves them
+    all.
     """
 
     __slots__ = ("indices", "representative", "table", "entries")
@@ -492,15 +492,18 @@ class _PriceGroup:
         self.entries = 0
 
     def ensure(self, rlp_max: int, tlp_max: int, ctx_max: int) -> None:
-        """Grow the table (geometrically) to cover the given indices."""
+        """Grow the table to cover the given indices.
+
+        Only an overflowing axis grows (geometrically); the others keep
+        their size, so a context overflow never multiplies the rlp and
+        tlp extents along with it.
+        """
         shape = self.table.shape
         if rlp_max < shape[1] and tlp_max < shape[2] and ctx_max < shape[3]:
             return
-        new_shape = (
-            shape[0],
-            max(2 * shape[1], rlp_max + 1),
-            max(2 * shape[2], tlp_max + 1),
-            max(2 * shape[3], ctx_max + 1),
+        new_shape = (shape[0],) + tuple(
+            size if index < size else max(2 * size, index + 1)
+            for size, index in zip(shape[1:], (rlp_max, tlp_max, ctx_max))
         )
         grown = np.full(new_shape, np.nan, dtype=np.float64)
         grown[:, : shape[1], : shape[2], : shape[3]] = self.table
@@ -515,8 +518,10 @@ class FleetState:
     paths dispatch on:
 
     * :meth:`fleet_step_seconds` / :meth:`fleet_completion_seconds` —
-      array-parallel twins of the ``projected_*_fleet`` probes (the
-      router module forwards to these when present).
+      array-parallel twins of the per-replica ``projected_*_seconds``
+      reference probes (the router module dispatches to these when
+      present), plus the version-memoized ``probe_*`` and ``route_*``
+      verdicts built on them.
     * :meth:`outstanding_counts` — queued + active per replica, for
       vectorized router ranking.
     * :meth:`mark_dirty` / ``_flush`` — the simulator marks a replica
@@ -722,7 +727,7 @@ class FleetState:
     def _build_groups(self) -> List[_PriceGroup]:
         """Group replicas by interchangeable pricing.
 
-        Same criterion as the fleet-batched pricer's cache scopes —
+        Same criterion as the shared price cache's scopes —
         configuration-equal system (type + dataclass equality) serving
         the same workload — plus the pricer's context accounting knobs,
         so group members can also share one step-price memo. A
@@ -824,9 +829,10 @@ class FleetState:
                 tail, np.greater(slots, 0, out=self._sc_mask2), out=tail
             )
             if partial.any():
-                # Rare same-timestamp race: arrivals queued behind an
-                # ADMIT that has not fired yet. Walk the waiting prefix
-                # exactly as the scalar probe does.
+                # More queued than free slots (arrivals wait while a step
+                # is in flight): walk the waiting prefix exactly as the
+                # scalar probe does — each queued request at its current
+                # KV context (decode pools queue mid-life requests).
                 replicas = self._replicas
                 for index in np.nonzero(partial)[0].tolist():
                     open_slots = int(slots[index])
@@ -834,7 +840,7 @@ class FleetState:
                     for request in replicas[index].waiting:
                         if open_slots == 0:
                             break
-                        prefix += request.input_len
+                        prefix += request.input_len + request.generated
                         open_slots -= 1
                     total[index] += prefix
         # max(1, round(total / rlp)), then round to the admission bucket:
@@ -855,9 +861,9 @@ class FleetState:
         """Projected next-iteration seconds for every replica.
 
         Bit-identical lane-for-lane to
-        :func:`~repro.cluster.router.projected_step_seconds_fleet` over
-        the same replicas: the same projected batch shapes, the same
-        pinned-target pricing for misses — only the bookkeeping is
+        :func:`~repro.cluster.router.projected_step_seconds` over each
+        replica: the same projected batch shapes, the same grid point
+        priced at the same pinned FC target — only the bookkeeping is
         arrays and dense tables instead of dicts.
         """
         values = self._fleet_step_array(request)
@@ -995,12 +1001,12 @@ class FleetState:
                 if slots == waiting_n:
                     total += replica._waiting_context_sum
                 elif slots > 0:
-                    # Rare same-timestamp race: arrivals queued behind an
-                    # ADMIT that has not fired yet — walk the prefix.
+                    # More queued than free slots: walk the prefix, each
+                    # request at its current KV context.
                     for queued in replica.waiting:
                         if slots == 0:
                             break
-                        total += queued.input_len
+                        total += queued.input_len + queued.generated
                         slots -= 1
             mean = max(1, round(total / rlp))
             ctx = max(1, round(mean / bucket))
@@ -1118,9 +1124,8 @@ class FleetState:
         """Price a probe's unseen operating points and fill the table.
 
         Identical projections collapse to one grid lane; lanes are priced
-        in a single pinned-target :func:`price_steps_at` call — the exact
-        call the fleet-batched reference path makes for its misses, with
-        each lane's FC target pinned to what its replica planned.
+        in a single pinned-target :func:`price_steps_at` call, with each
+        lane's FC target pinned to what its replica planned.
         """
         lanes: Dict[Tuple[int, int, int, int], List[int]] = {}
         for position in np.nonzero(missing)[0].tolist():
@@ -1159,8 +1164,8 @@ class FleetState:
         """Projected completion seconds for every replica.
 
         Bit-identical lane-for-lane to
-        :func:`~repro.cluster.router.projected_completion_seconds_fleet`:
-        the same ceil / backlog-drain arithmetic, elementwise.
+        :func:`~repro.cluster.router.projected_completion_seconds`: the
+        same ceil / backlog-drain arithmetic, elementwise.
         """
         if step_seconds is None:
             steps = self._fleet_step_array(request)
@@ -1363,8 +1368,8 @@ class FleetState:
     def probe_min_completion(self, request: Request) -> float:
         """The admission controller's fast path: best projected completion.
 
-        Equals ``min(fleet_completion_seconds(request, steps))`` — the
-        value the batched reference compares against the deadline — via
+        Equals ``min(fleet_completion_seconds(request))`` — the value
+        the admission controller compares against the deadline — via
         the version memo. The hit path is hand-inlined (version check,
         steps key, one dict probe): deferral storms take it millions of
         times per trace, so every avoided method call is wall-clock.
@@ -1405,9 +1410,10 @@ class FleetState:
     def route_min_cost(self, request: Request) -> int:
         """The min-cost router's verdict via the version memo.
 
-        Identical to ``lexsort((outstanding, costs))[0]`` over the fleet
-        probe — the reference numpy branch — with both the step vector
-        and the sorted order reused while the version holds still.
+        Identical to the reference router's ``min`` over (cost,
+        outstanding, index) tuples — ``np.lexsort`` is stable with its
+        last key primary — with both the step vector and the sorted
+        order reused while the version holds still.
         """
         self._sync_memo()
         steps = self.probe_steps(request)
@@ -1422,8 +1428,8 @@ class FleetState:
         rearranged, so feasibility tests see bit-identical floats — and
         reuse the memoized cost order: the first feasible index in the
         global (cost, outstanding, index) order is precisely the
-        feasible-subset lexsort winner (stability), so the verdict
-        matches the reference branch for branch. The all-infeasible
+        feasible-subset tuple minimum, so the verdict matches the
+        reference branch for branch. The all-infeasible
         fallback (reachable only for deadline traffic that bypassed
         admission) ranks by most slack exactly as the reference.
         """

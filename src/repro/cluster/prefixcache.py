@@ -17,7 +17,7 @@ session-affinity routing pay. The cache is a deliberately simple model:
   is the routing-path read: same answer, no counter or recency
   mutation — probing candidate replicas must not perturb LRU state.
 
-Determinism: all three simulation cores drive the cache through the
+Determinism: both simulation cores drive the cache through the
 same call sites in the same event order, so hit/miss/eviction sequences
 are bit-identical across cores.
 """

@@ -98,9 +98,9 @@ class Replica:
         load_accounting: ``"incremental"`` (default) answers the router/
             admission load views from O(1) counters maintained across
             ``enqueue``/``_admit``/``advance``; ``"scan"`` recomputes the
-            O(batch + queue) sums on every probe — the pre-optimization
-            reference the equivalence suite and cluster benchmark compare
-            against. Both modes produce bit-identical values.
+            O(batch + queue) sums on every probe — the scalar reference
+            core's accounting, which the equivalence suite pins the
+            counters against. Both modes produce bit-identical values.
         role: Pool role (:data:`REPLICA_ROLES`). ``"colocated"`` is the
             full request lifecycle; ``"prefill"`` batches prompt passes
             only, emits each surviving request into :attr:`outbound` at
@@ -308,8 +308,8 @@ class Replica:
         because the integer context sums are maintained incrementally.
         The truncated batch always keeps every active request (admission
         never evicts), so only a waiting-queue prefix ever needs walking,
-        and only in the rare same-timestamp race where arrivals queue
-        behind an admission that has not fired yet.
+        and only when more requests queued during an in-flight step than
+        the batch has free slots.
         """
         active_count = len(self.active)
         waiting_count = len(self.waiting)

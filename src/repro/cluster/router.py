@@ -34,6 +34,13 @@ Six policies:
   whose cache holds their prefix, as long as its projected cost stays
   within a tolerance of the fleet minimum (and any deadline still
   holds); non-session traffic routes exactly as slo-slack.
+
+Each policy is written once against the *fleet view* the simulator
+hands it. A plain list of scalar-core replicas answers through the
+``projected_*_seconds`` reference probes, one replica at a time; the
+vectorized core's :class:`~repro.cluster.fleetstate.FleetState` answers
+through its own array probes and version-memoized verdicts. Both views
+return bit-identical prices, so both cores route identically.
 """
 
 from __future__ import annotations
@@ -49,21 +56,12 @@ from repro.errors import ConfigurationError
 from repro.models.workload import build_step_grid
 from repro.serving.request import Request
 from repro.serving.stepcache import SystemScopedCache
-from repro.systems.batch import price_steps_at
 
 #: Context quantization for admission pricing: coarse enough that
 #: consecutive arrivals projecting near-identical batches share one
 #: cached price, fine enough that it never flips a routing decision the
 #: cost model could defend (same bucket the design-space sweeps use).
 ADMISSION_CONTEXT_BUCKET = 32
-
-#: An admission-price key within one system's scope:
-#: (workload name, fc target, rlp, tlp, bucketed context). The scalar
-#: path keys the placement enum member; the fleet-batched path keys its
-#: ``value`` string (whose hash is cached) — the two shapes can never
-#: collide, and each path is self-consistent.
-PriceKey = Tuple[str, object, int, int, int]
-
 
 class PriceCache(SystemScopedCache):
     """Bounded LRU of projected admission prices, scoped per system.
@@ -72,52 +70,19 @@ class PriceCache(SystemScopedCache):
     the router hot path: long traces with decaying batches and varied
     context buckets touch an unbounded number of distinct operating
     points, so a plain dict memo grows for the whole run — this cache
-    caps residency at ``max_entries`` per system, purges a system's
-    entries when it is garbage-collected (so a recycled id can never
-    serve another system's prices, e.g. when one router instance outlives
-    a cluster run), and keeps the hit/miss counters the cluster report
-    surfaces.
-
-    ``fleet_memo`` carries the *current arrival's* fleet probe from the
-    admission controller to the router: within one ``ARRIVAL`` event the
-    controller decides first and the router selects second against
-    byte-for-byte identical replica state, so the controller's
-    (step, completion) projections can be reused verbatim instead of
-    re-probing the fleet. The memo is only honored for the same request
-    *object*, the same simulated instant, and the same replica list (see
-    :func:`fleet_probe_memo`), which makes staleness structurally
-    impossible: any intervening event changes at least one of the three.
+    caps residency at ``max_entries`` per scope, purges a scope's
+    entries when its last system is garbage-collected (so a recycled id
+    can never serve another system's prices, e.g. when one router
+    instance outlives a cluster run), and keeps the hit/miss counters
+    the cluster report surfaces. Keys are ``(workload name, planned FC
+    target, rlp, tlp, bucketed context)``; prompt-pass prices carry
+    :data:`PREFILL_PRICE_TARGET` in the target slot. Configuration-equal
+    systems share one scope: a price is a pure function of the system
+    configuration and the key, which pins the planned FC placement.
     """
 
-    def __init__(
-        self, max_entries: int = 4096, share_equal_systems: bool = False
-    ) -> None:
-        super().__init__(max_entries, share_equal_systems)
-        self.fleet_memo: Optional[tuple] = None
-
-
-def fleet_probe_memo(
-    cache: Optional[PriceCache],
-    replicas: Sequence[Replica],
-    request: Request,
-    now: float,
-) -> Optional[Tuple[List[float], List[float]]]:
-    """The admission controller's fleet probe for this exact arrival.
-
-    Returns ``(step_seconds, completion_seconds)`` lists when ``cache``
-    holds a memo for the same request object, instant, and replica list;
-    ``None`` otherwise.
-    """
-    if cache is None or cache.fleet_memo is None:
-        return None
-    memo_replicas, memo_request, memo_now, steps, completions = cache.fleet_memo
-    if (
-        memo_request is request
-        and memo_now == now
-        and memo_replicas is replicas
-    ):
-        return steps, completions
-    return None
+    def __init__(self, max_entries: int = 4096) -> None:
+        super().__init__(max_entries, share_equal_systems=True)
 
 
 def projected_step_seconds(
@@ -178,114 +143,22 @@ def projected_step_seconds_fleet(
     request: Request,
     cache: Optional[PriceCache] = None,
 ) -> List[float]:
-    """Projected next-iteration seconds for every replica, in one pass.
+    """Projected next-iteration seconds for every replica of a fleet view.
 
-    The fleet-batched twin of :func:`projected_step_seconds`, and the
-    per-arrival hot path of the price-aware routers and the admission
-    controller: each replica's post-admission batch shape comes from its
-    O(1) load counters (:meth:`Replica.projected_admission_load`), cache
-    hits are answered immediately, and the *misses* are grouped by
-    interchangeable pricing — same workload, configuration-equal system
-    (the shared cache's scope, see
-    :meth:`~repro.serving.stepcache.SystemScopedCache.scope_key`) — and
-    priced in one pinned-target
-    :func:`~repro.systems.batch.price_steps_at` call per group instead of
-    one ``price_steps`` trip per replica. Every returned lane is
-    bit-identical to ``projected_step_seconds(replica, request, cache)``:
-    the same key, the same grid point, the same arithmetic — only the
-    batching differs.
-
-    When ``replicas`` is a :class:`~repro.cluster.fleetstate.FleetState`
-    (the vectorized core's array-backed fleet view), the probe forwards
-    to its :meth:`~repro.cluster.fleetstate.FleetState.fleet_step_seconds`
-    — the same projections and the same pinned-target pricing, computed
-    as fleet-wide array operations against dense price tables.
+    A :class:`~repro.cluster.fleetstate.FleetState` (the vectorized
+    core's fleet view) answers from its dense price tables through
+    :meth:`~repro.cluster.fleetstate.FleetState.fleet_step_seconds`; a
+    list of scalar-core replicas through one
+    :func:`projected_step_seconds` reference probe per replica. Lanes
+    are bit-identical either way.
     """
     fleet = getattr(replicas, "fleet_step_seconds", None)
     if fleet is not None:
         return fleet(request)
-    bucket = ADMISSION_CONTEXT_BUCKET
-    input_len = request.input_len
-    seconds: List[Optional[float]] = [None] * len(replicas)
-    keys: List[Optional[PriceKey]] = [None] * len(replicas)
-    targets: List[object] = [None] * len(replicas)
-    # Miss groups: scope id -> (representative replica, [replica index]).
-    groups: Dict[object, Tuple[Replica, List[int]]] = {}
-    # This loop runs replicas x arrivals times; the cache is consulted
-    # through its scope map directly (hit/miss tallies folded in below)
-    # rather than per-probe get() calls, and keys carry the placement's
-    # *value* string (cached hash) instead of the enum member. Hits skip
-    # the LRU recency bump — eviction order is a cache-quality knob,
-    # never a result.
-    if cache is not None:
-        scope_of = cache.scope_key
-        entries_of = cache._per_system.get
-    hits = 0
-    misses = 0
-    for index, replica in enumerate(replicas):
-        rlp, mean_context = replica.projected_admission_load(input_len)
-        mean_context = max(bucket, round(mean_context / bucket) * bucket)
-        tlp = replica._current_tlp
-        system = replica.system
-        target = system.plan_fc_target(rlp, tlp)
-        key = (
-            replica._workload_name,
-            target.value,
-            rlp,
-            tlp,
-            mean_context,
-        )
-        if cache is not None:
-            scope = scope_of(system)
-            entries = entries_of(scope)
-            cached = entries.get(key) if entries is not None else None
-            if cached is not None:
-                hits += 1
-                seconds[index] = cached
-                continue
-            misses += 1
-        else:
-            scope = id(system)
-        keys[index] = key
-        targets[index] = target
-        # Group misses by interchangeable pricing: configuration-equal
-        # system (the cache scope) serving the same workload. Mixed
-        # fleets (MoE next to dense on identical hardware) split here.
-        group_key = (scope, replica._workload_name)
-        group = groups.get(group_key)
-        if group is None:
-            groups[group_key] = (replica, [index])
-        else:
-            group[1].append(index)
-    if cache is not None:
-        cache.hits += hits
-        cache.misses += misses
-    for representative, indices in groups.values():
-        # Identical projections (e.g. a rank of idle equal replicas all
-        # probing the same point) collapse to one grid lane.
-        unique: Dict[PriceKey, List[int]] = {}
-        for index in indices:
-            unique.setdefault(keys[index], []).append(index)
-        lanes = list(unique)
-        grid = build_step_grid(
-            representative.model,
-            [key[2] for key in lanes],
-            [key[3] for key in lanes],
-            [key[4] for key in lanes],
-            moe=representative.moe,
-        )
-        priced = price_steps_at(
-            representative.system,
-            grid,
-            tuple(targets[unique[key][0]] for key in lanes),
-        )
-        for lane, key in enumerate(lanes):
-            value = float(priced.seconds[lane])
-            for index in unique[key]:
-                seconds[index] = value
-                if cache is not None:
-                    cache.put(replicas[index].system, key, value)
-    return seconds
+    return [
+        projected_step_seconds(replica, request, cache)
+        for replica in replicas
+    ]
 
 
 def projected_completion_seconds(
@@ -322,47 +195,8 @@ def projected_completion_seconds(
     return (own + backlog) * per_iteration
 
 
-def projected_completion_seconds_fleet(
-    replicas: Sequence[Replica],
-    request: Request,
-    cache: Optional[PriceCache] = None,
-    step_seconds: Optional[Sequence[float]] = None,
-) -> List[float]:
-    """Projected completion seconds for every replica, in one pass.
-
-    The fleet-batched twin of :func:`projected_completion_seconds`: the
-    step prices come from one :func:`projected_step_seconds_fleet` call
-    (or, for callers that already priced the fleet this arrival, the
-    ``step_seconds`` they got back — the ``slo-slack`` router reuses its
-    min-cost pass instead of pricing twice), and the speculation
-    constants are the replicas' hoisted per-iteration values. Lane ``i``
-    is bit-identical to ``projected_completion_seconds(replicas[i], ...)``.
-
-    :class:`~repro.cluster.fleetstate.FleetState` fleets forward to the
-    array-parallel
-    :meth:`~repro.cluster.fleetstate.FleetState.fleet_completion_seconds`.
-    """
-    fleet = getattr(replicas, "fleet_completion_seconds", None)
-    if fleet is not None:
-        return fleet(request, step_seconds)
-    if step_seconds is None:
-        step_seconds = projected_step_seconds_fleet(replicas, request, cache)
-    output_len = request.output_len
-    completions: List[float] = []
-    for replica, step_s in zip(replicas, step_seconds):
-        per_iteration = step_s + replica.draft_overhead_per_iteration_s
-        expected = replica.expected_tokens_per_iteration
-        own = math.ceil(output_len / expected)
-        backlog = replica.outstanding_remaining_tokens() / (
-            expected * replica.max_batch_size
-        )
-        completions.append((own + backlog) * per_iteration)
-    return completions
-
-
 #: Cache-key sentinel for prompt-pass prices. Decode-step keys carry the
-#: planned FC placement in this slot (an enum member on the scalar path,
-#: its value string on the fleet path); the sentinel shares their cache
+#: planned FC placement in this slot; the sentinel shares their cache
 #: without ever colliding.
 PREFILL_PRICE_TARGET = "prefill-pass"
 
@@ -428,48 +262,25 @@ def projected_prefill_completion_seconds(
     return (1.0 + backlog) * prefill_s
 
 
-def best_decode_step_seconds(
+def best_completion_seconds(
     replicas: Sequence[Replica],
     request: Request,
     cache: Optional[PriceCache] = None,
-    batched: bool = True,
 ) -> float:
-    """Cheapest projected decode step across a pool.
+    """Earliest projected completion across a fleet view.
 
-    The decode-pool term of full-path pricing. Every lane is the pinned
-    :func:`projected_step_seconds` value, so the minimum is identical
-    whether the pool is probed scalar (``batched=False``), fleet-batched,
-    or through a :class:`~repro.cluster.fleetstate.FleetState`.
+    The admission controller's verdict input, and the decode-pool term
+    of full-path projections. Views with a ``probe_min_completion``
+    verdict answer through it — a
+    :class:`~repro.cluster.fleetstate.FleetState` from its fleet-version
+    memo, a :class:`~repro.cluster.admission.PathProber` across the
+    whole prefill/decode handoff; lists of scalar-core replicas take the
+    minimum over the (bit-identical)
+    :func:`projected_completion_seconds` probes.
     """
-    if batched:
-        return min(projected_step_seconds_fleet(replicas, request, cache))
-    return min(
-        projected_step_seconds(replica, request, cache)
-        for replica in replicas
-    )
-
-
-def best_decode_completion_seconds(
-    replicas: Sequence[Replica],
-    request: Request,
-    cache: Optional[PriceCache] = None,
-    batched: bool = True,
-) -> float:
-    """Earliest projected completion across a decode pool.
-
-    :class:`~repro.cluster.fleetstate.FleetState` pools answer from the
-    memoized
-    :meth:`~repro.cluster.fleetstate.FleetState.probe_min_completion`
-    verdict; list pools take the minimum over the (bit-identical)
-    per-replica projections.
-    """
-    if batched:
-        probe = getattr(replicas, "probe_min_completion", None)
-        if probe is not None:
-            return probe(request)
-        return min(
-            projected_completion_seconds_fleet(replicas, request, cache)
-        )
+    probe = getattr(replicas, "probe_min_completion", None)
+    if probe is not None:
+        return probe(request)
     return min(
         projected_completion_seconds(replica, request, cache)
         for replica in replicas
@@ -581,13 +392,8 @@ class IntensityAwareRouter(Router):
 
     name = "intensity"
 
-    def __init__(
-        self, max_cache_entries: int = 4096, batched: bool = True
-    ) -> None:
-        self.batched = batched
-        self._price_cache = PriceCache(
-            max_cache_entries, share_equal_systems=batched
-        )
+    def __init__(self, max_cache_entries: int = 4096) -> None:
+        self._price_cache = PriceCache(max_cache_entries)
 
     @property
     def price_cache(self) -> PriceCache:
@@ -628,28 +434,17 @@ class IntensityAwareRouter(Router):
         if flip:
             return min(flip)[2]
         if fallback:
-            if self.batched:
-                costs = projected_step_seconds_fleet(
-                    [replicas[i] for _, i in fallback],
-                    request,
-                    self._price_cache,
-                )
-                ranked = [
-                    (cost, outstanding, i)
-                    for cost, (outstanding, i) in zip(costs, fallback)
-                ]
-            else:
-                ranked = [
-                    (
-                        projected_step_seconds(
-                            replicas[i], request, self._price_cache
-                        ),
-                        outstanding,
-                        i,
-                    )
-                    for outstanding, i in fallback
-                ]
-            return min(ranked)[2]
+            # Reached only when no replica carries a load signal, so the
+            # fallback lanes are the whole fleet: price it through the
+            # fleet view itself (a FleetState's own tables — never its
+            # replicas one by one, whose request objects the vectorized
+            # core leaves stale mid-decode).
+            costs = projected_step_seconds_fleet(
+                replicas, request, self._price_cache
+            )
+            return min(
+                (costs[i], outstanding, i) for outstanding, i in fallback
+            )[2]
         raise ConfigurationError("cluster has no replicas")
 
 
@@ -670,69 +465,31 @@ class MinCostRouter(Router):
 
     name = "min-cost"
 
-    def __init__(
-        self, max_cache_entries: int = 4096, batched: bool = True
-    ) -> None:
-        self.batched = batched
-        self._price_cache = PriceCache(
-            max_cache_entries, share_equal_systems=batched
-        )
+    def __init__(self, max_cache_entries: int = 4096) -> None:
+        self._price_cache = PriceCache(max_cache_entries)
 
     @property
     def price_cache(self) -> PriceCache:
         return self._price_cache
-
-    def _step_costs(
-        self,
-        request: Request,
-        replicas: Sequence[Replica],
-        now: Optional[float] = None,
-    ) -> List[float]:
-        """Per-replica projected admission price, batched when enabled.
-
-        With ``now`` given, an admission-controller fleet probe for this
-        exact arrival (same request object, instant, and replica list) is
-        reused instead of re-priced — see :func:`fleet_probe_memo`.
-        """
-        if self.batched:
-            if now is not None:
-                memo = fleet_probe_memo(
-                    self._price_cache, replicas, request, now
-                )
-                if memo is not None:
-                    return memo[0]
-            return projected_step_seconds_fleet(
-                replicas, request, self._price_cache
-            )
-        return [
-            projected_step_seconds(replica, request, self._price_cache)
-            for replica in replicas
-        ]
 
     def select(
         self, request: Request, replicas: Sequence[Replica], now: float
     ) -> int:
         if not replicas:
             raise ConfigurationError("cluster has no replicas")
-        if self.batched:
-            fast = getattr(replicas, "route_min_cost", None)
-            if fast is not None:
-                # Vectorized fleets return the memoized verdict directly:
-                # the same lexsort over the same probe vectors, reused
-                # O(1) while the fleet version holds still.
-                return fast(request)
-        costs = self._step_costs(request, replicas, now)
-        counts = getattr(replicas, "outstanding_counts", None)
-        if counts is not None:
-            # lexsort ranks by its *last* key first and is stable, so
-            # (cost, outstanding, index) ordering matches the tuple min.
-            order = np.lexsort((counts(), np.asarray(costs)))
-            return int(order[0])
-        ranked = [
+        route = getattr(replicas, "route_min_cost", None)
+        if route is not None:
+            # Vectorized fleets return the memoized verdict directly: the
+            # same (cost, outstanding, index) order over the same probe
+            # vectors, reused O(1) while the fleet version holds still.
+            return route(request)
+        costs = projected_step_seconds_fleet(
+            replicas, request, self._price_cache
+        )
+        return min(
             (cost, replica.outstanding(), i)
             for i, (cost, replica) in enumerate(zip(costs, replicas))
-        ]
-        return min(ranked)[2]
+        )[2]
 
     def _path_costs(
         self,
@@ -750,11 +507,13 @@ class MinCostRouter(Router):
         ranking is honest about what a path costs without pretending to
         know stage-2's outcome ahead of time.
         """
-        tail = interconnect.transfer_seconds(
-            request.input_len + 1
-        ) + best_decode_step_seconds(
-            decode_pool, request, self._price_cache, batched=self.batched
+        best_decode = min(
+            projected_step_seconds_fleet(
+                decode_pool, request, self._price_cache
+            )
         )
+        tail = interconnect.transfer_seconds(request.input_len + 1)
+        tail += best_decode
         return [
             projected_prefill_seconds(replica, request, self._price_cache)
             + tail
@@ -806,69 +565,29 @@ class SLOSlackRouter(MinCostRouter):
     ) -> int:
         if not replicas:
             raise ConfigurationError("cluster has no replicas")
-        if self.batched:
-            fast = getattr(replicas, "route_slo_slack", None)
-            if fast is not None:
-                # Vectorized fleets return the memoized verdict directly
-                # (slack recomputed elementwise against this arrival's
-                # deadline and clock; everything else reused O(1) while
-                # the fleet version holds still).
-                return fast(request, now)
-        memo = (
-            fleet_probe_memo(self._price_cache, replicas, request, now)
-            if self.batched
-            else None
-        )
-        costs = (
-            memo[0] if memo is not None
-            else self._step_costs(request, replicas)
-        )
-        if request.deadline_s is None:
-            slacks: Sequence[float] = (math.inf,) * len(replicas)
-        elif self.batched:
-            # Reuse this arrival's projections: the admission controller
-            # probed identical replica state a moment ago (the memo), and
-            # even without one the completion pass shares the step prices
-            # — the scalar path prices twice and hits the cache; the
-            # fleet path skips the second key-build round entirely.
-            completions = (
-                memo[1] if memo is not None
-                else projected_completion_seconds_fleet(
-                    replicas, request, self._price_cache, step_seconds=costs
-                )
-            )
-            deadline = request.deadline_s
-            slacks = [deadline - (now + c) for c in completions]
-        else:
-            slacks = [
-                request.deadline_s
-                - (
-                    now
-                    + projected_completion_seconds(
-                        replica, request, self._price_cache
-                    )
-                )
-                for replica in replicas
-            ]
-        counts_fn = getattr(replicas, "outstanding_counts", None)
-        if counts_fn is not None:
-            counts = counts_fn()
-            cost_arr = np.asarray(costs)
-            slack_arr = np.asarray(slacks)
-            feasible_mask = slack_arr >= 0.0
-            if feasible_mask.any():
-                idx = np.nonzero(feasible_mask)[0]
-                order = np.lexsort((counts[idx], cost_arr[idx]))
-                return int(idx[order[0]])
-            order = np.lexsort((counts, cost_arr, -slack_arr))
-            return int(order[0])
+        route = getattr(replicas, "route_slo_slack", None)
+        if route is not None:
+            # Vectorized fleets return the memoized verdict directly
+            # (slack recomputed elementwise against this arrival's
+            # deadline and clock; everything else reused O(1) while the
+            # fleet version holds still).
+            return route(request, now)
+        cache = self._price_cache
+        deadline = request.deadline_s
         feasible: List[Tuple[float, int, int]] = []  # (cost, outstanding, i)
         ranked: List[Tuple[float, float, int, int]] = []  # (-slack, cost, ...)
         for i, replica in enumerate(replicas):
+            cost = projected_step_seconds(replica, request, cache)
+            slack = math.inf  # best effort: every replica is feasible
+            if deadline is not None:
+                completion = projected_completion_seconds(
+                    replica, request, cache
+                )
+                slack = deadline - (now + completion)
             outstanding = replica.outstanding()
-            ranked.append((-slacks[i], costs[i], outstanding, i))
-            if slacks[i] >= 0.0:
-                feasible.append((costs[i], outstanding, i))
+            ranked.append((-slack, cost, outstanding, i))
+            if slack >= 0.0:
+                feasible.append((cost, outstanding, i))
         if feasible:
             return min(feasible)[2]
         return min(ranked)[3]
@@ -902,8 +621,8 @@ class SLOSlackRouter(MinCostRouter):
             return min(ranked_cost)[2]
         tail = interconnect.transfer_seconds(
             request.input_len + 1
-        ) + best_decode_completion_seconds(
-            decode_pool, request, self._price_cache, batched=self.batched
+        ) + best_completion_seconds(
+            decode_pool, request, self._price_cache
         )
         deadline = request.deadline_s
         feasible: List[Tuple[float, int, int]] = []  # (cost, outstanding, i)
@@ -951,10 +670,10 @@ class SessionAffinityRouter(SLOSlackRouter):
     Non-session requests — and stage-2 decode-pool routing, where no
     prefix cache exists — take the parent verdict untouched, so
     independent traffic routes bit-identically to ``slo-slack``. Every
-    probe this overlay adds goes through the same fleet-batched /
-    vectorized pricing surfaces as the base policy (memoized dense
-    tables on a :class:`~repro.cluster.fleetstate.FleetState`), so the
-    three simulation cores agree bit-for-bit.
+    probe this overlay adds goes through the same fleet-view dispatch as
+    the base policy (memoized dense tables on a
+    :class:`~repro.cluster.fleetstate.FleetState`, reference probes on a
+    replica list), so both simulation cores agree bit-for-bit.
     """
 
     name = "session-affinity"
@@ -962,10 +681,9 @@ class SessionAffinityRouter(SLOSlackRouter):
     def __init__(
         self,
         max_cache_entries: int = 4096,
-        batched: bool = True,
         tolerance: float = AFFINITY_TOLERANCE,
     ) -> None:
-        super().__init__(max_cache_entries, batched=batched)
+        super().__init__(max_cache_entries)
         if tolerance < 0:
             raise ConfigurationError("tolerance must be non-negative")
         self.tolerance = tolerance
@@ -986,17 +704,15 @@ class SessionAffinityRouter(SLOSlackRouter):
         """Whether the home's projected completion meets the deadline.
 
         The slack is computed exactly as the base policy computes it —
-        ``deadline - (now + completion)`` over the same fleet-batched
-        projection — so feasibility here can never disagree with what
-        slo-slack itself would have concluded about the home lane.
+        ``deadline - (now + completion)`` over the same projection — so
+        feasibility here can never disagree with what slo-slack itself
+        would have concluded about the home lane.
         """
         if request.deadline_s is None:
             return True
-        if self.batched:
-            completions = projected_completion_seconds_fleet(
-                replicas, request, self._price_cache, step_seconds=costs
-            )
-            completion = completions[home]
+        fleet = getattr(replicas, "fleet_completion_seconds", None)
+        if fleet is not None:
+            completion = fleet(request, costs)[home]
         else:
             completion = projected_completion_seconds(
                 replicas[home], request, self._price_cache
@@ -1015,7 +731,9 @@ class SessionAffinityRouter(SLOSlackRouter):
         choice = best
         home = self._session_homes.get(session)
         if home is not None and home != best and home < len(replicas):
-            costs = self._step_costs(request, replicas, now)
+            costs = projected_step_seconds_fleet(
+                replicas, request, self._price_cache
+            )
             if costs[home] <= costs[best] * (
                 1.0 + self.tolerance
             ) and self._meets_deadline(request, replicas, home, costs, now):
@@ -1049,11 +767,8 @@ class SessionAffinityRouter(SLOSlackRouter):
                     prefill_pool[home], request, self._price_cache
                 ) + interconnect.transfer_seconds(
                     request.input_len + 1
-                ) + best_decode_completion_seconds(
-                    decode_pool,
-                    request,
-                    self._price_cache,
-                    batched=self.batched,
+                ) + best_completion_seconds(
+                    decode_pool, request, self._price_cache
                 )
                 feasible = request.deadline_s - (now + completion) >= 0.0
             if feasible and costs[home] <= costs[best] * (
@@ -1079,14 +794,8 @@ def available_routers() -> Tuple[str, ...]:
     return tuple(sorted(_ROUTERS))
 
 
-def build_router(name: str, batched: bool = True) -> Router:
-    """Instantiate a routing policy by registry name.
-
-    ``batched`` selects fleet-batched admission pricing on the
-    price-aware policies (scalar per-replica pricing when ``False`` —
-    the pre-optimization reference path, bit-identical in routing
-    decisions); stateless policies ignore it.
-    """
+def build_router(name: str) -> Router:
+    """Instantiate a routing policy by registry name."""
     try:
         cls = _ROUTERS[name.lower()]
     except KeyError:
@@ -1094,6 +803,4 @@ def build_router(name: str, batched: bool = True) -> Router:
         raise ConfigurationError(
             f"unknown router {name!r}; known routers: {known}"
         ) from None
-    if issubclass(cls, (MinCostRouter, IntensityAwareRouter)):
-        return cls(batched=batched)
     return cls()

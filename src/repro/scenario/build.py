@@ -81,15 +81,22 @@ def build_replicas(spec: ScenarioSpec) -> List[Replica]:
     decoding step once for all replicas instead of once per replica.
     Cached results are pure functions of the configuration and the step
     key (which pins the FC placement), so outputs are unchanged.
+
+    The core picks the replica class and its load accounting: the
+    vectorized core's :class:`~repro.cluster.fleetstate.VectorReplica`
+    keeps the incremental counters its fleet arrays mirror; the scalar
+    oracle's plain :class:`~repro.cluster.replica.Replica` rescans its
+    queues on every probe.
     """
     cache = (
         StepCostCache(share_equal_systems=True)
         if spec.fleet.step_cache
         else None
     )
-    replica_cls = (
-        VectorReplica if spec.fleet.core_mode == "vectorized" else Replica
-    )
+    if spec.fleet.core_mode == "vectorized":
+        replica_cls, load_accounting = VectorReplica, "incremental"
+    else:
+        replica_cls, load_accounting = Replica, "scan"
     prefix_spec = spec.fleet.prefix_cache
     replicas: List[Replica] = []
     for group in spec.fleet.replicas:
@@ -115,7 +122,7 @@ def build_replicas(spec: ScenarioSpec) -> List[Replica]:
                     step_cache=cache,
                     moe=moe,
                     detail=spec.fleet.detail,
-                    load_accounting=spec.fleet.load_accounting,
+                    load_accounting=load_accounting,
                     role=group.role,
                     prefix_cache=(
                         # Decode-pool replicas never run a prompt pass,
@@ -285,8 +292,8 @@ def build_requests(spec: ScenarioSpec) -> List[Request]:
 
 
 def build_routing(spec: ScenarioSpec) -> Router:
-    """The scenario's routing policy (fleet-batched pricing per spec)."""
-    return build_router(spec.routing.policy, batched=spec.routing.batched)
+    """The scenario's routing policy."""
+    return build_router(spec.routing.policy)
 
 
 def build_admission(
@@ -310,6 +317,4 @@ def build_admission(
     }
     if not policies:
         return None
-    return SLOAdmissionController(
-        policies, price_cache=price_cache, batched=spec.routing.batched
-    )
+    return SLOAdmissionController(policies, price_cache=price_cache)

@@ -34,52 +34,37 @@ from repro.scenario.build import (
     build_requests,
     build_routing,
 )
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import CORE_MODES, ScenarioSpec
 
 
-#: Core presets ``apply_core_mode`` accepts. ``scalar`` and ``event``
-#: both run the event-queue simulator — ``scalar`` additionally pins the
-#: reference bookkeeping (full per-iteration records, O(queue) load
-#: rescans, per-replica admission pricing) that the faster presets
-#: replace with incremental counters and fleet-batched pricing.
-CORE_CHOICES = ("scalar", "event", "vectorized")
+#: Core presets ``apply_core_mode`` accepts: the spec's core modes.
+CORE_CHOICES = CORE_MODES
 
-_CORE_PRESETS = {
-    "scalar": ("full", "scan", "event", False),
-    "event": ("aggregate", "incremental", "event", True),
-    "vectorized": ("aggregate", "incremental", "vectorized", True),
-}
+#: Metric retention each preset pins: the scalar oracle keeps full
+#: per-iteration records; the vectorized core streams aggregates.
+_CORE_DETAIL = {"scalar": "full", "vectorized": "aggregate"}
 
 
 def apply_core_mode(spec: ScenarioSpec, core: str) -> ScenarioSpec:
-    """Pin a scenario to one of the three equivalence-contract cores.
+    """Pin a scenario to one of the two equivalence-contract cores.
 
-    All three produce bit-identical summaries (the equivalence suite
-    pins them); the choice trades introspection detail for speed:
-    ``scalar`` keeps full per-iteration records and reference
-    bookkeeping, ``event`` streams aggregates through the event core's
-    incremental counters, ``vectorized`` adds the fleet arrays and the
-    fleet-version verdict memo on top.
+    Both produce bit-identical summaries (the equivalence suite pins
+    them); the choice trades introspection detail for speed: ``scalar``
+    runs the reference core with full per-iteration records,
+    ``vectorized`` the array-backed core with streamed aggregates.
 
     Raises:
         ConfigurationError: When ``core`` is not one of
             :data:`CORE_CHOICES`.
     """
-    preset = _CORE_PRESETS.get(core)
-    if preset is None:
+    detail = _CORE_DETAIL.get(core)
+    if detail is None:
         raise ConfigurationError(
             f"core must be one of {', '.join(CORE_CHOICES)}, got {core!r}"
         )
-    detail, load_accounting, core_mode, batched = preset
     return dataclasses.replace(
         spec,
-        fleet=dataclasses.replace(
-            spec.fleet,
-            detail=detail,
-            load_accounting=load_accounting,
-            core_mode=core_mode,
-        ),
-        routing=dataclasses.replace(spec.routing, batched=batched),
+        fleet=dataclasses.replace(spec.fleet, detail=detail, core_mode=core),
     )
 
 

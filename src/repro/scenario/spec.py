@@ -36,10 +36,10 @@ from repro.serving.request import DEFAULT_TENANT
 #: :meth:`ScenarioSpec.validate` rejects every version but this.
 SCENARIO_SCHEMA_VERSION = 1
 
-#: Cluster simulation cores a scenario can select: the event-queue
-#: reference core and the array-backed vectorized core (bit-identical
-#: summaries; see ``FleetSpec.core_mode``).
-CORE_MODES = ("event", "vectorized")
+#: Cluster simulation cores a scenario can select: the scalar reference
+#: core and the array-backed vectorized core (bit-identical summaries;
+#: see ``FleetSpec.core_mode``).
+CORE_MODES = ("scalar", "vectorized")
 
 #: Replica-pool roles a fleet can mix: ``colocated`` replicas own a
 #: request end to end (the historical model); ``prefill`` replicas run
@@ -371,18 +371,15 @@ class FleetSpec(SpecBase):
             ``aggregate`` streams iterations into running totals so
             million-request traces stay flat in memory. Every aggregate
             and per-tenant number is bit-identical between the modes.
-        load_accounting: ``incremental`` answers router/admission load
-            probes from O(1) counters; ``scan`` recomputes the
-            O(batch + queue) sums per probe — the pre-optimization
-            reference path kept for the equivalence suite and the
-            cluster benchmark. Values are bit-identical.
-        core_mode: Which simulation core drives the cluster. ``event``
-            is the event-queue reference core; ``vectorized`` runs the
-            array-backed core (flat event calendar, fleet-wide numpy
-            load arrays, dense price tables) — bit-identical summaries,
-            several times faster at fleet scale. The vectorized core
-            mirrors the incremental load counters, so it rejects
-            ``load_accounting="scan"``.
+        core_mode: Which simulation core drives the cluster.
+            ``vectorized`` (the default) runs the array-backed core:
+            flat event calendar, fleet-wide numpy load arrays, dense
+            price tables, and incremental load counters. ``scalar`` runs
+            the event-queue reference core, which probes every replica
+            one at a time and rescans its queues per probe — the oracle
+            the equivalence suite pins the vectorized core against.
+            Summaries are bit-identical; the vectorized core is an order
+            of magnitude faster at fleet scale.
         interconnect: KV-transfer link between the prefill and decode
             pools; required exactly when the fleet is disaggregated
             (some group's ``role`` is ``prefill``/``decode``) and
@@ -395,8 +392,7 @@ class FleetSpec(SpecBase):
     replicas: Tuple[ReplicaSpec, ...] = (ReplicaSpec(),)
     step_cache: bool = True
     detail: str = "full"
-    load_accounting: str = "incremental"
-    core_mode: str = "event"
+    core_mode: str = "vectorized"
     interconnect: Optional[InterconnectSpec] = None
     prefix_cache: Optional[PrefixCacheSpec] = None
 
@@ -421,21 +417,10 @@ class FleetSpec(SpecBase):
                 _join(path, "detail"),
                 f"must be one of {', '.join(DETAIL_MODES)}",
             )
-        if self.load_accounting not in ("incremental", "scan"):
-            _fail(
-                _join(path, "load_accounting"),
-                "must be 'incremental' or 'scan'",
-            )
         if self.core_mode not in CORE_MODES:
             _fail(
                 _join(path, "core_mode"),
                 f"must be one of {', '.join(CORE_MODES)}",
-            )
-        if self.core_mode == "vectorized" and self.load_accounting != "incremental":
-            _fail(
-                _join(path, "core_mode"),
-                "the vectorized core mirrors the incremental load "
-                "counters; set load_accounting='incremental'",
             )
         roles = {group.role for group in self.replicas}
         if roles != {"colocated"}:
@@ -681,16 +666,9 @@ class RoutingSpec(SpecBase):
     Attributes:
         policy: Registered router name (see ``repro list``); use
             ``slo-slack`` for deadline-aware multi-tenant routing.
-        batched: Fleet-batched admission pricing on the price-aware
-            policies and the SLO admission controller (one vectorized
-            pass over all candidate replicas per arrival). ``False``
-            prices replicas one scalar probe at a time — the
-            pre-optimization reference path; decisions and outputs are
-            bit-identical either way.
     """
 
     policy: str = "intensity"
-    batched: bool = True
 
     def validate(self, path: str = "routing") -> None:
         from repro.cluster.router import available_routers

@@ -100,9 +100,7 @@ class SystemScopedCache:
 
         Identity (``id``) normally; with ``share_equal_systems``, a
         counter-allocated scope shared by every system that compares
-        equal to its first-seen representative. Fleet-batched pricing
-        also uses this to group replicas whose prices are
-        interchangeable.
+        equal to its first-seen representative.
         """
         if not self.share_equal_systems:
             return id(system)

@@ -342,10 +342,10 @@ def price_steps_at(
 
     Identical to :func:`price_steps` except the per-point FC targets are
     supplied by the caller instead of re-planned through
-    ``system.plan_fc_target``. This is what lets fleet-batched admission
-    pricing evaluate many *replicas'* projected steps in one vectorized
-    pass on a single configuration-equal system: each replica resolves
-    its own placement against its own scheduler state, and the pinned
+    ``system.plan_fc_target``. This is what lets the vectorized core's
+    fleet probes price many *replicas'* projected steps in one pass on a
+    single configuration-equal system: each replica resolves its own
+    placement against its own scheduler state, and the pinned
     grid prices every (placement, rlp, tlp, context) point bit-equal to
     that replica pricing it alone.
     """

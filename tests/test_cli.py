@@ -35,6 +35,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "slo-slack" in out
         assert "fc-stacks" in out
+        assert "core modes: scalar, vectorized " in out
         assert "ScenarioSpec" in out
         assert "TenantSpec" in out
         assert "p99_seconds" in out

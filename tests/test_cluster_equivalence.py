@@ -1,16 +1,17 @@
-"""Batched/scalar/vectorized cluster equivalence: the optimization contract.
+"""Scalar/vectorized cluster equivalence: the optimization contract.
 
-The fleet-scale optimizations — fleet-batched admission pricing
-(``routing.batched``), O(1) incremental load accounting
-(``fleet.load_accounting``), streaming metrics (``fleet.detail``), and
-the array-backed vectorized core (``fleet.core_mode``) — all promise
-*bit-identical* cluster outputs. This suite pins that promise across
-the optimization axes and a matrix of workloads: routers x admission
-policies x dense/MoE x speculation depths, plus a seeded fuzz harness
-that samples the cross-product at random. If an optimization ever
-reorders a routing decision, drifts a float, or drops a tenant counter,
-the mismatch surfaces here (and in the ``bench_cluster`` equivalence
-gate) instead of silently skewing a study.
+The array-backed vectorized core (``fleet.core_mode="vectorized"``, the
+default) — incremental load counters, fleet-wide probe arrays, dense
+price tables, verdict memos — and streaming metrics (``fleet.detail``)
+promise *bit-identical* cluster outputs to the scalar reference core,
+which probes every replica one at a time and rescans its queues. This
+suite pins that promise across a matrix of workloads: routers x
+admission policies x dense/MoE x speculation depths x PAPI and
+static-baseline fleets, plus a seeded fuzz harness that samples the
+cross-product at random. If an optimization ever reorders a routing
+decision, drifts a float, or drops a tenant counter, the mismatch
+surfaces here (and in the ``bench_cluster`` equivalence gate) instead
+of silently skewing a study.
 """
 
 import dataclasses
@@ -30,7 +31,7 @@ from repro.scenario.spec import (
     TrafficSpec,
     WorkloadSpec,
 )
-from repro.scenario.run import run_scenario
+from repro.scenario.run import apply_core_mode, run_scenario
 
 
 def _scenario(
@@ -41,6 +42,7 @@ def _scenario(
     context_mode: str = "per-request",
     requests: int = 48,
     replicas: int = 3,
+    system: str = "papi",
 ) -> ScenarioSpec:
     tenants = [
         TenantSpec(
@@ -68,48 +70,33 @@ def _scenario(
         seed=11,
         workload=workload,
         fleet=FleetSpec(
-            replicas=(ReplicaSpec(count=replicas, max_batch_size=8),)
+            replicas=(
+                ReplicaSpec(
+                    count=replicas, max_batch_size=8, system=system
+                ),
+            )
         ),
         tenants=tuple(tenants),
         routing=RoutingSpec(policy=policy),
     )
 
 
-def _fast(spec: ScenarioSpec) -> ScenarioSpec:
-    """The optimized configuration: batched + incremental + aggregate."""
-    return dataclasses.replace(
-        spec,
-        fleet=dataclasses.replace(
-            spec.fleet, detail="aggregate", load_accounting="incremental"
-        ),
-        routing=dataclasses.replace(spec.routing, batched=True),
-    )
-
-
 def _scalar(spec: ScenarioSpec) -> ScenarioSpec:
-    """The pre-optimization reference: scalar probes + scans + records."""
-    return dataclasses.replace(
-        spec,
-        fleet=dataclasses.replace(
-            spec.fleet, detail="full", load_accounting="scan"
-        ),
-        routing=dataclasses.replace(spec.routing, batched=False),
-    )
+    """The reference core: per-replica probes + scans + full records."""
+    return apply_core_mode(spec, "scalar")
 
 
 def _vectorized(spec: ScenarioSpec) -> ScenarioSpec:
-    """The array-backed core on top of the optimized configuration."""
-    fast = _fast(spec)
-    return dataclasses.replace(
-        fast, fleet=dataclasses.replace(fast.fleet, core_mode="vectorized")
-    )
+    """The array-backed core with streamed aggregates."""
+    return apply_core_mode(spec, "vectorized")
 
 
 def aggregate_fields(result) -> dict:
     """Every output of a cluster run except instrumentation counters.
 
-    ``router_cache`` statistics are deliberately excluded: scope-shared
-    caches count hits/misses differently from per-system ones. Everything
+    ``router_cache`` statistics are deliberately excluded: the vectorized
+    core reports its dense price tables' counters there, the scalar core
+    its price cache's. Everything
     a study reads — latencies, throughput, placement, energy, per-tenant
     SLO accounting — is compared exactly.
     """
@@ -153,41 +140,73 @@ def aggregate_fields(result) -> dict:
 
 
 CASES = [
-    pytest.param("min-cost", "admit", False, 2, id="min-cost-dense"),
-    pytest.param("min-cost", "admit", True, 2, id="min-cost-moe"),
-    pytest.param("intensity", "admit", False, 2, id="intensity-dense"),
-    pytest.param("intensity", "defer", False, 1, id="intensity-defer-serial"),
-    pytest.param("slo-slack", "admit", False, 2, id="slo-slack-dense"),
-    pytest.param("slo-slack", "reject", False, 2, id="slo-slack-reject"),
-    pytest.param("slo-slack", "defer", False, 4, id="slo-slack-defer-spec4"),
-    pytest.param("slo-slack", "defer", True, 2, id="slo-slack-defer-moe"),
-    pytest.param("least-outstanding", "reject", False, 2, id="least-reject"),
+    pytest.param("min-cost", "admit", False, 2, "papi", id="min-cost-dense"),
+    pytest.param("min-cost", "admit", True, 2, "papi", id="min-cost-moe"),
+    pytest.param(
+        "intensity", "admit", False, 2, "papi", id="intensity-dense"
+    ),
+    pytest.param(
+        "intensity", "defer", False, 1, "papi", id="intensity-defer-serial"
+    ),
+    pytest.param(
+        "slo-slack", "admit", False, 2, "papi", id="slo-slack-dense"
+    ),
+    pytest.param(
+        "slo-slack", "reject", False, 2, "papi", id="slo-slack-reject"
+    ),
+    pytest.param(
+        "slo-slack", "defer", False, 4, "papi", id="slo-slack-defer-spec4"
+    ),
+    pytest.param(
+        "slo-slack", "defer", True, 2, "papi", id="slo-slack-defer-moe"
+    ),
+    pytest.param(
+        "least-outstanding", "reject", False, 2, "papi", id="least-reject"
+    ),
+    # Static baselines carry no scheduler load signal: the intensity
+    # router ranks them by projected admission cost, through constant
+    # (a100-attacc, attacc-only) and generic (a100-hbm-pim) FC planners.
+    pytest.param(
+        "intensity", "admit", False, 2, "a100-attacc",
+        id="intensity-a100-attacc",
+    ),
+    pytest.param(
+        "intensity", "defer", False, 2, "attacc-only",
+        id="intensity-attacc-only",
+    ),
+    pytest.param(
+        "intensity", "admit", False, 2, "a100-hbm-pim",
+        id="intensity-a100-hbm-pim",
+    ),
 ]
 
 
 class TestBatchedScalarEquivalence:
-    @pytest.mark.parametrize("policy,admission,moe,spec_len", CASES)
-    def test_bit_identical_outputs(self, policy, admission, moe, spec_len):
+    @pytest.mark.parametrize("policy,admission,moe,spec_len,system", CASES)
+    def test_bit_identical_outputs(
+        self, policy, admission, moe, spec_len, system
+    ):
         spec = _scenario(
-            policy, admission=admission, moe=moe, speculation_length=spec_len
+            policy,
+            admission=admission,
+            moe=moe,
+            speculation_length=spec_len,
+            system=system,
         )
-        fast = aggregate_fields(run_scenario(_fast(spec)))
         scalar = aggregate_fields(run_scenario(_scalar(spec)))
         vectorized = aggregate_fields(run_scenario(_vectorized(spec)))
-        assert fast == scalar
         assert vectorized == scalar
 
     def test_mean_context_mode_equivalent(self):
         spec = _scenario("slo-slack", admission="defer", context_mode="mean")
-        fast = aggregate_fields(run_scenario(_fast(spec)))
         scalar = aggregate_fields(run_scenario(_scalar(spec)))
         vectorized = aggregate_fields(run_scenario(_vectorized(spec)))
-        assert fast == scalar
         assert vectorized == scalar
 
     def test_mixed_fleet_groups_split_by_workload(self):
         """A mixed MoE + dense fleet on identical hardware must not let
-        fleet-batched pricing collapse different workloads into one grid."""
+        the vectorized probes collapse different workloads into one
+        price table."""
         base = _scenario("min-cost")
         moe_group = ReplicaSpec(
             count=2,
@@ -203,10 +222,8 @@ class TestBatchedScalarEquivalence:
                 base.fleet, replicas=(moe_group, dense_group)
             ),
         )
-        fast = aggregate_fields(run_scenario(_fast(spec)))
         scalar = aggregate_fields(run_scenario(_scalar(spec)))
         vectorized = aggregate_fields(run_scenario(_vectorized(spec)))
-        assert fast == scalar
         assert vectorized == scalar
 
     def test_aggregate_detail_drops_records_only(self):
@@ -230,43 +247,40 @@ class TestBatchedScalarEquivalence:
         assert aggregate_fields(full) == aggregate_fields(aggregate)
 
     def test_load_accounting_counters_match_scans(self):
-        """The incremental counters answer exactly what a rescan would."""
+        """The incremental counters answer exactly what a rescan would.
+
+        Runs the scalar core, whose replicas keep request objects current
+        every iteration, and flips each replica between scan and
+        incremental accounting mid-run to compare the two answers.
+        """
         from repro.scenario.build import (
             build_replicas,
             build_requests,
             build_routing,
         )
         from repro.cluster.cluster import ClusterSimulator
-        from repro.serving.clock import EventKind
 
-        spec = _scenario("min-cost", requests=32, replicas=2)
+        spec = _scalar(_scenario("min-cost", requests=32, replicas=2))
         replicas = build_replicas(spec)
+        assert {replica.load_accounting for replica in replicas} == {"scan"}
         probed = []
-
-        class ProbingSimulator(ClusterSimulator):
-            def run(self, requests):  # pragma: no cover - thin shim
-                return super().run(requests)
-
-        simulator = ProbingSimulator(replicas, build_routing(spec))
+        simulator = ClusterSimulator(replicas, build_routing(spec))
         # Interpose on the router to cross-check counters mid-run.
         original_select = simulator.router.select
 
+        def load_views(replica, input_len):
+            return (
+                replica.outstanding_remaining_tokens(),
+                replica.projected_admission_load(input_len),
+            )
+
         def checking_select(request, fleet, now):
             for replica in fleet:
-                incremental = replica.outstanding_remaining_tokens()
-                scan = sum(
-                    r.output_len - r.generated for r in replica.active
-                ) + sum(r.output_len for r in replica.waiting)
-                assert incremental == scan
-                rlp_fast, mean_fast = replica.projected_admission_load(
-                    request.input_len
-                )
-                replica.load_accounting = "scan"
-                rlp_scan, mean_scan = replica.projected_admission_load(
-                    request.input_len
-                )
+                scan = load_views(replica, request.input_len)
                 replica.load_accounting = "incremental"
-                assert (rlp_fast, mean_fast) == (rlp_scan, mean_scan)
+                incremental = load_views(replica, request.input_len)
+                replica.load_accounting = "scan"
+                assert incremental == scan
                 probed.append(replica.replica_id)
             return original_select(request, fleet, now)
 
@@ -288,9 +302,10 @@ class TestVectorizedCoreFuzz:
     Each case draws a router, admission policy, dense/MoE workload,
     speculation depth, context mode, TLP policy, detail mode, trace
     seed, and fleet shape from a deterministic RNG, then demands the
-    vectorized, batched, and scalar cores agree bit-for-bit. The cases
-    are reproducible (fixed base seed per case index) so a failure here
-    is a regression, never flakiness.
+    vectorized and scalar cores agree bit-for-bit. The cases are
+    reproducible (fixed base seed per case index) so a failure here is
+    a regression, never flakiness. (The test keeps its historical name
+    from when a third, fleet-batched core sat between the two.)
     """
 
     @pytest.mark.parametrize("case_seed", range(6))
@@ -320,9 +335,7 @@ class TestVectorizedCoreFuzz:
                 fleet=dataclasses.replace(vec_spec.fleet, detail="full"),
             )
         scalar = aggregate_fields(run_scenario(_scalar(spec)))
-        fast = aggregate_fields(run_scenario(_fast(spec)))
         vectorized = aggregate_fields(run_scenario(vec_spec))
-        assert fast == scalar
         assert vectorized == scalar
 
 
@@ -335,16 +348,38 @@ class TestCoreModeSpec:
         with pytest.raises(ConfigurationError):
             spec.validate()
 
-    def test_vectorized_requires_incremental_accounting(self):
-        spec = _scenario("min-cost")
-        spec = dataclasses.replace(
-            spec,
-            fleet=dataclasses.replace(
-                spec.fleet, core_mode="vectorized", load_accounting="scan"
-            ),
-        )
-        with pytest.raises(ConfigurationError):
-            spec.validate()
+    def test_vectorized_is_the_default_core(self):
+        """A spec that names no core runs the vectorized simulator, whose
+        fleet-version verdict memo shows in the summary."""
+        spec = _scenario("slo-slack", admission="defer", requests=16)
+        assert spec.fleet.core_mode == "vectorized"
+        memo = run_scenario(spec).summary.probe_memo
+        assert memo["probe_hits"] + memo["probe_misses"] > 0
+        assert not run_scenario(_scalar(spec)).summary.probe_memo
+
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            ("routing", "batched", False),
+            ("fleet", "load_accounting", "scan"),
+            ("fleet", "core_mode", "event"),
+        ],
+    )
+    def test_removed_knobs_rejected_with_path(
+        self, tmp_path, section, field, value
+    ):
+        """Scenario files written for the retired fleet-batched core fail
+        loudly, naming the field, instead of silently changing meaning."""
+        import json
+
+        from repro.scenario import load_scenario
+
+        data = _scenario("min-cost").to_dict()
+        data[section][field] = value
+        path = tmp_path / "retired.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match=f"{section}.{field}"):
+            load_scenario(str(path))
 
 
 def _many_tenant_spec(tenants: int = 5, requests: int = 12) -> ScenarioSpec:
@@ -436,18 +471,12 @@ class TestShardedScenarios:
                 assert merged.summary.tenants[name] == report
 
     def test_sharded_vectorized_matches_sharded_event_core(self):
+        """Sharded vectorized runs match sharded runs of the scalar
+        event-queue core."""
         spec = _many_tenant_spec(tenants=4, requests=8)
-        vec_spec = dataclasses.replace(
-            spec,
-            fleet=dataclasses.replace(
-                spec.fleet,
-                core_mode="vectorized",
-                load_accounting="incremental",
-            ),
-        )
-        event = run_scenario(spec, shards=2)
-        vectorized = run_scenario(vec_spec, shards=2)
-        assert aggregate_fields(vectorized) == aggregate_fields(event)
+        scalar = run_scenario(_scalar(spec), shards=2)
+        vectorized = run_scenario(_vectorized(spec), shards=2)
+        assert aggregate_fields(vectorized) == aggregate_fields(scalar)
 
     def test_more_shards_than_tenants_drops_empty_shards(self):
         from repro.scenario.run import _shard_specs

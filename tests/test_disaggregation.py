@@ -3,10 +3,10 @@
 A disaggregated fleet routes every request through a two-stage path —
 prefill pool, KV transfer over the fleet interconnect, decode pool —
 and promises the same bit-identical-cores contract as colocated fleets:
-the scalar reference core, the optimized event core, and the
-array-backed vectorized core must agree digit for digit on every
-summary a study reads. This suite pins that promise across routers x
-admission policies x pool shapes (including asymmetric splits), plus a
+the scalar reference core and the array-backed vectorized core must
+agree digit for digit on every summary a study reads. This suite pins
+that promise across routers x admission policies x pool shapes
+(including asymmetric splits) x PAPI and static-baseline pools, plus a
 seeded fuzz harness; it also pins the spec-validation surface (role
 mixing, missing pools, interconnect presence rules), the transfer cost
 model, the per-pool / handoff-latency reporting, and the
@@ -18,10 +18,14 @@ import random
 
 import pytest
 
+from repro.cluster.fleetstate import FleetState, VectorReplica
+from repro.cluster.router import projected_step_seconds
 from repro.errors import ConfigurationError
+from repro.models.config import get_model
 from repro.scenario.run import (
     _merge_pool_reports,
     _merge_sample_stats,
+    apply_core_mode,
     run_scenario,
 )
 from repro.scenario.spec import (
@@ -35,17 +39,23 @@ from repro.scenario.spec import (
     TrafficSpec,
     WorkloadSpec,
 )
+from repro.serving.request import Request
+from repro.systems.registry import build_system
 
 INTERCONNECT = InterconnectSpec(
     kv_bytes_per_token=1_310_720.0, bandwidth_gb_s=50.0, hop_latency_s=50e-6
 )
 
 
-def _pools(prefill: int, decode: int) -> FleetSpec:
+def _pools(prefill: int, decode: int, system: str = "papi") -> FleetSpec:
     return FleetSpec(
         replicas=(
-            ReplicaSpec(count=prefill, max_batch_size=8, role="prefill"),
-            ReplicaSpec(count=decode, max_batch_size=8, role="decode"),
+            ReplicaSpec(
+                count=prefill, max_batch_size=8, role="prefill", system=system
+            ),
+            ReplicaSpec(
+                count=decode, max_batch_size=8, role="decode", system=system
+            ),
         ),
         interconnect=INTERCONNECT,
     )
@@ -58,6 +68,7 @@ def _scenario(
     decode: int = 2,
     requests: int = 40,
     seed: int = 11,
+    system: str = "papi",
 ) -> ScenarioSpec:
     tenants = [
         TenantSpec(
@@ -78,29 +89,15 @@ def _scenario(
         name="disaggregation",
         seed=seed,
         workload=WorkloadSpec(),
-        fleet=_pools(prefill, decode),
+        fleet=_pools(prefill, decode, system),
         tenants=tuple(tenants),
         routing=RoutingSpec(policy=policy),
     )
 
 
-def _with_core(spec: ScenarioSpec, core: str) -> ScenarioSpec:
-    if core == "scalar":
-        return dataclasses.replace(
-            spec,
-            fleet=dataclasses.replace(
-                spec.fleet, detail="full", load_accounting="scan"
-            ),
-            routing=dataclasses.replace(spec.routing, batched=False),
-        )
-    fleet = dataclasses.replace(
-        spec.fleet, detail="aggregate", load_accounting="incremental"
-    )
-    if core == "vectorized":
-        fleet = dataclasses.replace(fleet, core_mode="vectorized")
-    return dataclasses.replace(
-        spec, fleet=fleet, routing=dataclasses.replace(spec.routing, batched=True)
-    )
+def _core_fields(spec: ScenarioSpec, core: str) -> dict:
+    """``comparable_fields`` of ``spec`` run on one core."""
+    return comparable_fields(run_scenario(apply_core_mode(spec, core)))
 
 
 def comparable_fields(result) -> dict:
@@ -228,30 +225,55 @@ class TestTransferCost:
 
 
 CASES = [
-    pytest.param("round-robin", "admit", 2, 2, id="round-robin-2x2"),
-    pytest.param("least-outstanding", "admit", 2, 2, id="least-2x2"),
-    pytest.param("min-cost", "admit", 2, 2, id="min-cost-2x2"),
-    pytest.param("min-cost", "admit", 1, 3, id="min-cost-asymmetric-1x3"),
-    pytest.param("min-cost", "defer", 2, 2, id="min-cost-defer"),
-    pytest.param("slo-slack", "admit", 2, 2, id="slo-slack-2x2"),
-    pytest.param("slo-slack", "admit", 3, 1, id="slo-slack-asymmetric-3x1"),
-    pytest.param("slo-slack", "defer", 2, 2, id="slo-slack-defer"),
-    pytest.param("slo-slack", "reject", 1, 2, id="slo-slack-reject-1x2"),
-    pytest.param("least-outstanding", "reject", 2, 1, id="least-reject-2x1"),
+    pytest.param("round-robin", "admit", 2, 2, "papi", id="round-robin-2x2"),
+    pytest.param("least-outstanding", "admit", 2, 2, "papi", id="least-2x2"),
+    pytest.param("min-cost", "admit", 2, 2, "papi", id="min-cost-2x2"),
+    pytest.param(
+        "min-cost", "admit", 1, 3, "papi", id="min-cost-asymmetric-1x3"
+    ),
+    pytest.param("min-cost", "defer", 2, 2, "papi", id="min-cost-defer"),
+    pytest.param("slo-slack", "admit", 2, 2, "papi", id="slo-slack-2x2"),
+    pytest.param(
+        "slo-slack", "admit", 3, 1, "papi", id="slo-slack-asymmetric-3x1"
+    ),
+    pytest.param("slo-slack", "defer", 2, 2, "papi", id="slo-slack-defer"),
+    pytest.param(
+        "slo-slack", "reject", 1, 2, "papi", id="slo-slack-reject-1x2"
+    ),
+    pytest.param(
+        "least-outstanding", "reject", 2, 1, "papi", id="least-reject-2x1"
+    ),
+    # Static AttAcc pools (constant FC planner) run deep enough decode
+    # queues that the vectorized probe walks queued mid-life requests;
+    # TestDecodeQueueProbe pins that walk directly.
+    pytest.param(
+        "min-cost", "admit", 2, 2, "attacc-only", id="min-cost-attacc-only"
+    ),
+    pytest.param(
+        "slo-slack", "admit", 2, 2, "attacc-only", id="slo-slack-attacc-only"
+    ),
+    pytest.param(
+        "session-affinity", "admit", 2, 2, "attacc-only",
+        id="session-affinity-attacc-only",
+    ),
 ]
 
 
 class TestCoreEquivalence:
-    @pytest.mark.parametrize("policy,admission,prefill,decode", CASES)
+    """The scalar event-queue oracle against the vectorized core."""
+
+    @pytest.mark.parametrize("policy,admission,prefill,decode,system", CASES)
     def test_scalar_event_bit_identical(
-        self, policy, admission, prefill, decode
+        self, policy, admission, prefill, decode, system
     ):
         spec = _scenario(
-            policy, admission=admission, prefill=prefill, decode=decode
+            policy,
+            admission=admission,
+            prefill=prefill,
+            decode=decode,
+            system=system,
         )
-        scalar = comparable_fields(run_scenario(_with_core(spec, "scalar")))
-        event = comparable_fields(run_scenario(_with_core(spec, "event")))
-        assert event == scalar
+        assert _core_fields(spec, "vectorized") == _core_fields(spec, "scalar")
 
     @pytest.mark.parametrize(
         "policy,admission",
@@ -264,17 +286,11 @@ class TestCoreEquivalence:
     )
     def test_vectorized_three_way_bit_identical(self, policy, admission):
         spec = _scenario(policy, admission=admission, prefill=2, decode=3)
-        scalar = comparable_fields(run_scenario(_with_core(spec, "scalar")))
-        event = comparable_fields(run_scenario(_with_core(spec, "event")))
-        vectorized = comparable_fields(
-            run_scenario(_with_core(spec, "vectorized"))
-        )
-        assert event == scalar
-        assert vectorized == scalar
+        assert _core_fields(spec, "vectorized") == _core_fields(spec, "scalar")
 
     def test_seeded_fuzz_matrix(self):
-        """Random corners of the config cross-product agree across all
-        three cores — the same harness shape as the colocated fuzz."""
+        """Random corners of the config cross-product agree across both
+        cores — the same harness shape as the colocated fuzz."""
         rng = random.Random(20250807)
         for _ in range(4):
             spec = _scenario(
@@ -287,15 +303,57 @@ class TestCoreEquivalence:
                 requests=rng.randint(16, 48),
                 seed=rng.randint(0, 999),
             )
-            scalar = comparable_fields(
-                run_scenario(_with_core(spec, "scalar"))
+            assert _core_fields(spec, "vectorized") == _core_fields(
+                spec, "scalar"
+            ), spec.name
+
+
+def _mid_life(request_id: int, input_len: int, generated: int) -> Request:
+    """A request handed to a decode pool after ``generated`` tokens."""
+    return Request(
+        request_id=request_id,
+        input_len=input_len,
+        output_len=256,
+        generated=generated,
+    )
+
+
+class TestDecodeQueueProbe:
+    def test_waiting_prefix_walk_counts_generated_tokens(self):
+        """A decode replica queues mid-life requests. When its queue is
+        longer than its free slots, the vectorized probe walks the
+        queued prefix, and must count each request's current KV
+        context (prompt plus generated tokens), as the reference probe
+        does. Pinned on the full vector pass and the incremental lane
+        refresh, with contexts chosen so that dropping the generated
+        tokens moves the projected mean context down one price bucket.
+        """
+        model = get_model("llama-65b")
+        replicas = [
+            VectorReplica(
+                replica_id=i,
+                system=build_system("papi"),
+                model=model,
+                max_batch_size=4,
+                role="decode",
             )
-            event = comparable_fields(run_scenario(_with_core(spec, "event")))
-            vectorized = comparable_fields(
-                run_scenario(_with_core(spec, "vectorized"))
-            )
-            assert event == scalar, spec.name
-            assert vectorized == scalar, spec.name
+            for i in range(5)
+        ]
+        busy = replicas[0]
+        busy.enqueue(_mid_life(0, 500, 1))
+        busy.enqueue(_mid_life(1, 500, 1))
+        assert busy.poke(0.0) is not None  # two active, step in flight
+        for request_id in (2, 3, 4):
+            busy.enqueue(_mid_life(request_id, 400, 64))
+        # Two free slots, three queued: the projection walks two.
+        candidate = Request(request_id=9, input_len=300, output_len=32)
+        expected = [
+            projected_step_seconds(replica, candidate) for replica in replicas
+        ]
+        fleet = FleetState(replicas)
+        assert fleet.fleet_step_seconds(candidate) == expected  # vector pass
+        fleet.mark_dirty(0)
+        assert fleet.fleet_step_seconds(candidate) == expected  # lane refresh
 
 
 class TestReporting:

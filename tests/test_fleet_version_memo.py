@@ -7,12 +7,13 @@ version is safely reusable while that version holds still. This suite
 pins the invariant directly (version bumps, memo hits/misses across
 invalidation, batch-row bit-identity) and end to end: a deferral-storm
 scenario — offered load far above capacity, bounded defer/retry — run
-through all three cores with bit-identical outputs, a floor on the
-memo hit rate, and live coalescing counters.
+through both cores with bit-identical outputs, a floor on the memo hit
+rate, and live coalescing counters.
 """
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.cluster.fleetstate import FleetState
@@ -105,9 +106,9 @@ class TestDeferralStormEquivalence:
             core: run_scenario(apply_core_mode(spec, core))
             for core in CORE_CHOICES
         }
-        scalar = _comparable(results["scalar"])
-        assert _comparable(results["event"]) == scalar
-        assert _comparable(results["vectorized"]) == scalar
+        assert _comparable(results["vectorized"]) == _comparable(
+            results["scalar"]
+        )
         # The storm must actually have stormed (deferrals happened).
         interactive = results["scalar"].summary.tenants["interactive"]
         assert interactive.deferrals > 0
@@ -213,23 +214,45 @@ class TestFleetVersion:
         assert fleet.probe_min_batch(requests) is None
 
 
+class TestPriceGroupGrowth:
+    def test_context_overflow_grows_only_the_context_axis(self):
+        """A context overflow must not multiply the rlp and tlp extents
+        (the dense table's memory) along with it, nor lose a price."""
+        fleet, _ = _fleet_and_requests()
+        group = fleet._groups[0]
+        group.ensure(8, 2, 4)
+        group.table[1, 8, 2, 4] = 0.125
+        group.table[0, 3, 1, 0] = 0.5
+        _, rlp_size, tlp_size, ctx_size = group.table.shape
+        group.ensure(0, 0, 4 * ctx_size + 7)
+        grown = group.table.shape
+        assert grown[1:3] == (rlp_size, tlp_size)
+        assert grown[3] == 4 * ctx_size + 8
+        assert group.table[1, 8, 2, 4] == 0.125
+        assert group.table[0, 3, 1, 0] == 0.5
+        assert np.isnan(group.table[1, 8, 2, 4 * ctx_size + 7])
+        # An in-range request leaves the table untouched.
+        table = group.table
+        group.ensure(rlp_size - 1, tlp_size - 1, grown[3] - 1)
+        assert group.table is table
+
+
 class TestApplyCoreMode:
     def test_presets(self):
+        assert CORE_CHOICES == ("scalar", "vectorized")
         spec = _storm_scenario()
         scalar = apply_core_mode(spec, "scalar")
         assert scalar.fleet.detail == "full"
-        assert scalar.fleet.load_accounting == "scan"
-        assert scalar.fleet.core_mode == "event"
-        assert scalar.routing.batched is False
-        event = apply_core_mode(spec, "event")
-        assert event.fleet.detail == "aggregate"
-        assert event.fleet.load_accounting == "incremental"
-        assert event.fleet.core_mode == "event"
-        assert event.routing.batched is True
+        assert scalar.fleet.core_mode == "scalar"
+        assert {r.load_accounting for r in build_replicas(scalar)} == {
+            "scan"
+        }
         vectorized = apply_core_mode(spec, "vectorized")
+        assert vectorized.fleet.detail == "aggregate"
         assert vectorized.fleet.core_mode == "vectorized"
-        assert vectorized.fleet.load_accounting == "incremental"
-        assert vectorized.routing.batched is True
+        assert {r.load_accounting for r in build_replicas(vectorized)} == {
+            "incremental"
+        }
 
     def test_rejects_unknown_core(self):
         with pytest.raises(ConfigurationError, match="core must be one of"):

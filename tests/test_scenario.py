@@ -426,54 +426,18 @@ class TestRunScenarios:
 class TestFleetScaleSpecFields:
     def test_new_fields_round_trip(self):
         spec = ScenarioSpec(
-            fleet=FleetSpec(detail="aggregate", load_accounting="scan"),
-            routing=RoutingSpec(policy="min-cost", batched=False),
+            fleet=FleetSpec(detail="aggregate", core_mode="scalar"),
+            routing=RoutingSpec(policy="min-cost"),
         )
         decoded = ScenarioSpec.from_dict(spec.to_dict())
         assert decoded == spec
         assert decoded.fleet.detail == "aggregate"
-        assert decoded.fleet.load_accounting == "scan"
-        assert decoded.routing.batched is False
+        assert decoded.fleet.core_mode == "scalar"
 
     def test_bad_detail_rejected_with_path(self):
         spec = ScenarioSpec(fleet=FleetSpec(detail="verbose"))
         with pytest.raises(ConfigurationError, match="fleet.detail"):
             spec.validate()
-
-    def test_bad_load_accounting_rejected_with_path(self):
-        spec = ScenarioSpec(fleet=FleetSpec(load_accounting="lazy"))
-        with pytest.raises(ConfigurationError, match="fleet.load_accounting"):
-            spec.validate()
-
-    def test_admission_probe_memo_reused_by_router(self):
-        """Within one arrival, the slo-slack router reuses the admission
-        controller's fleet probe instead of re-pricing the fleet."""
-        from repro.cluster.admission import (
-            AdmissionDecision,
-            SLOAdmissionController,
-            TenantPolicy,
-        )
-        from repro.scenario import build_replicas
-        from repro.serving.request import Request
-
-        spec = ScenarioSpec(
-            fleet=FleetSpec(replicas=(ReplicaSpec(count=3),)),
-        )
-        replicas = build_replicas(spec)
-        router = build_router("slo-slack")
-        controller = SLOAdmissionController(
-            {"default": TenantPolicy(action="reject")},
-            price_cache=router.price_cache,
-        )
-        request = Request(
-            request_id=0, input_len=64, output_len=32, deadline_s=500.0
-        )
-        decision, _ = controller.decide(request, replicas, 0.0)
-        assert decision is AdmissionDecision.ADMIT
-        lookups_after_decide = router.price_cache.lookups
-        index = router.select(request, replicas, 0.0)
-        assert 0 <= index < len(replicas)
-        assert router.price_cache.lookups == lookups_after_decide
 
 
 class TestLoadScenario:

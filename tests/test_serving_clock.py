@@ -44,8 +44,8 @@ class TestEventQueue:
     def test_mixed_kind_tie_break_is_push_order(self):
         """Same-timestamp ARRIVAL/ADMIT/STEP_DONE order is pinned.
 
-        The cluster simulator's determinism — and therefore the batched/
-        scalar equivalence contract — relies on ties breaking by push
+        The cluster simulator's determinism — and therefore the scalar/
+        vectorized equivalence contract — relies on ties breaking by push
         order regardless of event kind: an ADMIT scheduled "now" must not
         overtake a STEP_DONE pushed earlier at the same instant, and
         kinds must never reorder among themselves.

@@ -78,8 +78,8 @@ class TestCacheMechanics:
 
     def test_shared_scope_serves_equal_systems(self):
         """``share_equal_systems`` lets configuration-equal systems read
-        each other's entries — the fleet-wide cache behind batched
-        admission pricing."""
+        each other's entries — the fleet-wide cache behind the step
+        and admission prices."""
         a, b = build_system("papi"), build_system("papi")
         model = get_model("llama-65b")
         result = a.execute_step(build_decode_step(model, 4, 1, 128))
