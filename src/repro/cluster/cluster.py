@@ -1,7 +1,7 @@
 """Multi-replica cluster serving on one simulated event timeline.
 
 The cluster simulator merges every replica's events on a single
-:class:`~repro.serving.clock.EventQueue`:
+:class:`~repro.serving.clock.EventCalendar`:
 
 * ``ARRIVAL`` — the admission controller (when configured) may reject the
   request outright or defer it to a later re-arrival; otherwise the
@@ -11,6 +11,8 @@ The cluster simulator merges every replica's events on a single
   schedules its next ``STEP_DONE``.
 * ``STEP_DONE`` — the replica completes one decoding iteration, refills
   freed slots, and reschedules itself while it has work.
+* ``KV_TRANSFER`` — (disaggregated fleets) a prefill replica's KV
+  handoff lands and the router picks the decode replica that takes it.
 
 Replicas advance independently — one can be three iterations ahead of
 another — which is exactly the behavior a wall-clock cluster would show,
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.admission import (
     AdmissionDecision,
@@ -41,8 +43,6 @@ from repro.serving.clock import (
     KV_TRANSFER_CODE,
     STEP_DONE_CODE,
     EventCalendar,
-    EventKind,
-    EventQueue,
 )
 from repro.serving.metrics import RunSummary, latency_percentile_of
 from repro.serving.request import Request, RequestPhase, RequestState
@@ -298,10 +298,15 @@ class ClusterSummary:
 class ClusterSimulator:
     """Drives N replicas through an arrival trace under a routing policy.
 
-    The scalar reference core (``core_mode="scalar"``): one event queue,
-    and every routing and admission probe walks the plain replica list
-    through the per-replica reference projections. It is the oracle the
+    The scalar reference core (``core_mode="scalar"``): every routing and
+    admission probe walks the plain replica list through the per-replica
+    reference projections. It is the oracle the
     :class:`VectorizedClusterSimulator` is pinned against, bit for bit.
+    Both cores drain the same :class:`~repro.serving.clock.EventCalendar`,
+    and every scalar run — colocated or disaggregated — as well as every
+    vectorized disaggregated run goes through one strict-horizon loop
+    (:meth:`_run_strict`); the cores differ there only in the fleet view
+    routing and admission probe (:attr:`fleet`).
 
     Args:
         replicas: The fleet, in replica-id order.
@@ -358,33 +363,18 @@ class ClusterSimulator:
                     self._prefill_indices.append(index)
                 else:
                     self._decode_indices.append(index)
-            self._prefill_pool = [
-                self.replicas[i] for i in self._prefill_indices
-            ]
-            self._decode_pool = [
-                self.replicas[i] for i in self._decode_indices
-            ]
         elif interconnect is not None:
             raise ConfigurationError(
                 "only disaggregated fleets (prefill/decode pools) take "
                 "an interconnect"
             )
-
-    def _path_prober(self, decode_view: Sequence[Replica]) -> PathProber:
-        """The admission controller's cross-handoff completion probe.
-
-        ``decode_view`` is how this core sees the decode pool — the raw
-        replica list on the scalar core, the pool's
-        :class:`~repro.cluster.fleetstate.FleetState` on the vectorized
-        core — so the probe's decode term rides whatever machinery the
-        core already prices stage-2 with.
-        """
-        assert self.admission is not None
-        return PathProber(
-            self._prefill_pool,
-            decode_view,
-            self.interconnect,
-            self.admission.price_cache,
+        #: The fleet view routing and admission probe: the decoding
+        #: replicas (the decode pool when disaggregated). A plain list
+        #: here; the vectorized core wraps it in a FleetState.
+        self.fleet: Union[List[Replica], FleetState] = (
+            [self.replicas[i] for i in self._decode_indices]
+            if self._disaggregated
+            else self.replicas
         )
 
     def _hint_prefix(self, request: Request) -> None:
@@ -406,23 +396,42 @@ class ClusterSimulator:
                 request.session_id, request.prefix_len
             )
 
+    @staticmethod
+    def _load_trace(
+        requests: Sequence[Request],
+    ) -> Tuple[List[Request], Dict[str, Dict[str, int]], EventCalendar]:
+        """Sort the trace, tally submissions per tenant, seed a calendar
+        (the setup both cores' loops share)."""
+        if not requests:
+            raise ConfigurationError("requests must be non-empty")
+        trace = sorted(requests, key=lambda r: r.arrival_s)
+        stats: Dict[str, Dict[str, int]] = {}
+        for request in trace:
+            tally = stats.setdefault(
+                request.tenant,
+                {"submitted": 0, "rejected": 0, "deferrals": 0},
+            )
+            tally["submitted"] += 1
+        calendar = EventCalendar(
+            [request.arrival_s for request in trace], trace
+        )
+        return trace, stats, calendar
+
     def _spawn_followups(
         self,
         replica: Replica,
         trace: List[Request],
         stats: Dict[str, Dict[str, int]],
-        push,
+        calendar: EventCalendar,
     ) -> None:
         """Schedule each finished turn's follow-up as a fresh arrival.
 
-        ``push(time_s, request)`` schedules one ``ARRIVAL`` on the
-        calling core's queue/calendar. The follow-up's lengths and think
-        time were pre-drawn at build time; only its arrival time (parent
-        finish + think time), request id (its position in the growing
-        trace — identical across cores because events drain in the same
-        order), and absolute deadline are stamped here. A rejected turn
-        never finishes, so its session's remaining turns are simply
-        never scheduled.
+        The follow-up's lengths and think time were pre-drawn at build
+        time; only its arrival time (parent finish + think time), request
+        id (its position in the growing trace — identical across cores
+        because events drain in the same order), and absolute deadline
+        are stamped here. A rejected turn never finishes, so its
+        session's remaining turns are simply never scheduled.
         """
         for parent in replica.followups:
             turn = parent.followup
@@ -434,69 +443,80 @@ class ClusterSimulator:
                 turn.deadline_s = arrival + turn.deadline_budget_s
             trace.append(turn)
             stats[turn.tenant]["submitted"] += 1
-            push(arrival, turn)
+            calendar.push(arrival, ARRIVAL_CODE, turn)
         replica.followups.clear()
 
-    def _ship_transfers(self, replica: Replica, push, now: float) -> None:
+    def _ship_transfers(
+        self, replica: Replica, calendar: EventCalendar, now: float
+    ) -> None:
         """Schedule a ``KV_TRANSFER`` for every outbound handoff.
 
-        ``push(time_s, payload)`` schedules one transfer event on the
-        calling core's queue/calendar; each request's KV cache is in
-        flight for the interconnect's cost of its *current* context
-        (prompt + the first token).
+        Each request's KV cache is in flight for the interconnect's cost
+        of its *current* context (prompt + the first token).
         """
         interconnect = self.interconnect
         for request in replica.outbound:
-            push(
+            calendar.push(
                 now + interconnect.transfer_seconds(request.context_len),
+                KV_TRANSFER_CODE,
                 request,
             )
         replica.outbound.clear()
 
     def run(self, requests: Sequence[Request]) -> ClusterSummary:
         """Serve an arrival-stamped trace; returns the cluster summary."""
-        if not requests:
-            raise ConfigurationError("requests must be non-empty")
-        queue = EventQueue()
-        trace = sorted(requests, key=lambda r: r.arrival_s)
-        stats: Dict[str, Dict[str, int]] = {}
-        for request in trace:
-            tally = stats.setdefault(
-                request.tenant,
-                {"submitted": 0, "rejected": 0, "deferrals": 0},
-            )
-            tally["submitted"] += 1
-            queue.push(request.arrival_s, EventKind.ARRIVAL, request)
+        return self._run_strict(requests)
 
+    def _run_strict(self, requests: Sequence[Request]) -> ClusterSummary:
+        """The strict-horizon event loop, for every fleet topology.
+
+        One event per pop, and a replica's inline step burst ends before
+        *any* pending event, so nothing that could observe the fleet is
+        skipped — what disaggregated fleets need, where handoffs
+        interleave with arrivals. The cores differ here only in
+        :attr:`fleet`: a FleetState mirrors its replicas' counters, so
+        the loop marks it after each decode-pool enqueue and step; the
+        scalar core's replica list is read live.
+        """
+        trace, stats, calendar = self._load_trace(requests)
+        replicas = self.replicas
+        router = self.router
+        admission = self.admission
+        interconnect = self.interconnect
         disaggregated = self._disaggregated
-        prober = (
-            self._path_prober(self._decode_pool)
-            if disaggregated and self.admission is not None
-            else None
+        fleet = self.fleet
+        decode_indices = self._decode_indices
+        prefill_indices = self._prefill_indices
+        prefill_pool = [replicas[index] for index in prefill_indices]
+        mirrored = isinstance(fleet, FleetState)
+        fleet_slot = (
+            {index: local for local, index in enumerate(decode_indices)}
+            if mirrored
+            else {}
         )
+        if admission is None:
+            probe_view = None
+        elif disaggregated:
+            probe_view = PathProber(
+                prefill_pool, fleet, interconnect, admission.price_cache
+            )
+        else:
+            probe_view = fleet
 
-        def push_transfer(time_s: float, request: Request) -> None:
-            queue.push(time_s, EventKind.KV_TRANSFER, request)
-
-        def push_followup(time_s: float, request: Request) -> None:
-            queue.push(time_s, EventKind.ARRIVAL, request)
-
-        # Inline macro-bursts below bypass the queue, so its clock can
+        # Inline macro-bursts below bypass the calendar, so its clock can
         # stall before the true end of the run; the makespan is tracked
         # by hand — last popped event time, or last inlined completion.
         makespan = 0.0
-        while not queue.empty:
-            event = queue.pop()
-            makespan = queue.now
-            if event.kind is EventKind.ARRIVAL:
-                request = event.payload
+        while not calendar.empty:
+            now, kind, payload = calendar.pop()
+            makespan = now
+            if kind == ARRIVAL_CODE:
+                request = payload
                 if request.session_id is not None:
                     self._hint_prefix(request)
-                if self.admission is not None:
-                    decision, backoff = self.admission.decide(
-                        request,
-                        prober if prober is not None else self.replicas,
-                        queue.now,
+                if admission is not None:
+                    decision, backoff = admission.decide(
+                        request, probe_view, now
                     )
                     if decision is AdmissionDecision.REJECT:
                         request.state = RequestState.REJECTED
@@ -504,80 +524,70 @@ class ClusterSimulator:
                         continue
                     if decision is AdmissionDecision.DEFER:
                         stats[request.tenant]["deferrals"] += 1
-                        queue.push(
-                            queue.now + backoff, EventKind.ARRIVAL, request
-                        )
+                        calendar.push_arrival_after(backoff, request)
                         continue
                 if disaggregated:
-                    local = self.router.select_path(
-                        request,
-                        self._prefill_pool,
-                        self._decode_pool,
-                        self.interconnect,
-                        queue.now,
+                    local = router.select_path(
+                        request, prefill_pool, fleet, interconnect, now
                     )
-                    if not 0 <= local < len(self._prefill_pool):
+                    if not 0 <= local < len(prefill_pool):
                         raise SimulationError(
-                            f"router {self.router.name!r} returned prefill "
-                            f"replica {local} of {len(self._prefill_pool)}"
+                            f"router {router.name!r} returned prefill "
+                            f"replica {local} of {len(prefill_pool)}"
                         )
-                    index = self._prefill_indices[local]
+                    index = prefill_indices[local]
                 else:
-                    index = self.router.select(
-                        request, self.replicas, queue.now
-                    )
-                    if not 0 <= index < len(self.replicas):
+                    index = router.select(request, fleet, now)
+                    if not 0 <= index < len(replicas):
                         raise SimulationError(
-                            f"router {self.router.name!r} returned replica "
-                            f"{index} of {len(self.replicas)}"
+                            f"router {router.name!r} returned replica "
+                            f"{index} of {len(replicas)}"
                         )
                 if request.session_id is not None:
                     self._session_holder[request.session_id] = index
-                replica = self.replicas[index]
+                replica = replicas[index]
                 replica.enqueue(request)
                 if replica.idle:
-                    queue.push(queue.now, EventKind.ADMIT, index)
-            elif event.kind is EventKind.KV_TRANSFER:
-                request = event.payload
-                request.transfer_done_s = queue.now
+                    calendar.push(now, ADMIT_CODE, index)
+            elif kind == KV_TRANSFER_CODE:
+                request = payload
+                request.transfer_done_s = now
                 request.phase = RequestPhase.DECODE
-                local = self.router.select(
-                    request, self._decode_pool, queue.now
-                )
-                if not 0 <= local < len(self._decode_pool):
+                local = router.select(request, fleet, now)
+                if not 0 <= local < len(decode_indices):
                     raise SimulationError(
-                        f"router {self.router.name!r} returned decode "
-                        f"replica {local} of {len(self._decode_pool)}"
+                        f"router {router.name!r} returned decode "
+                        f"replica {local} of {len(decode_indices)}"
                     )
-                index = self._decode_indices[local]
-                replica = self.replicas[index]
+                index = decode_indices[local]
+                replica = replicas[index]
                 replica.enqueue(request)
+                if mirrored:
+                    fleet.mark_dirty(local)
                 if replica.idle:
-                    queue.push(queue.now, EventKind.ADMIT, index)
-            else:  # ADMIT / STEP_DONE
-                replica = self.replicas[event.payload]
-                if event.kind is EventKind.ADMIT:
-                    done_at = replica.poke(queue.now)
+                    calendar.push(now, ADMIT_CODE, index)
+            else:  # ADMIT_CODE / STEP_DONE_CODE
+                replica = replicas[payload]
+                if kind == ADMIT_CODE:
+                    done_at = replica.poke(now)
                 else:
-                    done_at = replica.on_step_done(queue.now)
+                    done_at = replica.on_step_done(now)
                     if replica.followups:
-                        self._spawn_followups(
-                            replica, trace, stats, push_followup
-                        )
+                        self._spawn_followups(replica, trace, stats, calendar)
                     if replica.outbound:
-                        self._ship_transfers(replica, push_transfer, queue.now)
+                        self._ship_transfers(replica, calendar, now)
                 # Inline step burst: while this replica's next completion
                 # strictly precedes every pending event, nothing can
                 # observe the fleet in between — run (and, when the batch
                 # is frozen, macro-compress) the steps back-to-back
-                # without a heap round-trip per step. Events pushed from
-                # inside the burst keep the relative order the
+                # without a calendar round-trip per step. Events pushed
+                # from inside the burst keep the relative order the
                 # event-per-step loop would have given them, so ties
                 # still break identically. Completions inside the burst
-                # happen at their own times, not the stalled queue clock
-                # — follow-ups and KV handoffs are stamped with the
-                # inline completion time.
-                peek = queue.peek_time()
+                # happen at their own times, not the stalled calendar
+                # clock — follow-ups and KV handoffs are stamped with the
+                # inline completion time, then the horizon is re-peeked.
+                peek = calendar.peek_time()
                 while done_at is not None and (
                     peek is None or done_at < peek
                 ):
@@ -588,17 +598,23 @@ class ClusterSimulator:
                     makespan = done_at
                     done_at = replica.on_step_done(makespan)
                     if replica.followups:
-                        self._spawn_followups(
-                            replica, trace, stats, push_followup
-                        )
-                        peek = queue.peek_time()
+                        self._spawn_followups(replica, trace, stats, calendar)
+                        peek = calendar.peek_time()
                     if replica.outbound:
-                        self._ship_transfers(replica, push_transfer, makespan)
-                        peek = queue.peek_time()
+                        self._ship_transfers(replica, calendar, makespan)
+                        peek = calendar.peek_time()
+                local = fleet_slot.get(payload)
+                if local is not None:
+                    fleet.mark_dirty(local)
                 if done_at is not None:
-                    queue.push(done_at, EventKind.STEP_DONE, event.payload)
+                    calendar.push(done_at, STEP_DONE_CODE, payload)
 
-        return self._summarize(trace, stats, makespan)
+        return self._summarize(
+            trace,
+            stats,
+            makespan,
+            probe_memo=dict(fleet.memo_stats()) if mirrored else None,
+        )
 
     def _summarize(
         self,
@@ -690,23 +706,26 @@ class VectorizedClusterSimulator(ClusterSimulator):
     """The array-backed cluster core (``core_mode="vectorized"``).
 
     Same cluster semantics as :class:`ClusterSimulator` — the equivalence
-    suite pins the two cores' summaries bit-for-bit — built on three
+    suite pins the two cores' summaries bit-for-bit — built on two
     structural changes:
 
-    * The event queue is a :class:`~repro.serving.clock.EventCalendar`:
-      the (pre-sorted) arrival trace lives in a flat array lane consumed
-      by cursor, and only dynamically scheduled events (``ADMIT``,
-      ``STEP_DONE``, deferral re-arrivals) touch a heap — of plain
-      tuples, not ``Event`` objects.
-    * The fleet is wrapped in a
+    * The fleet view (:attr:`fleet`) is a
       :class:`~repro.cluster.fleetstate.FleetState`: per-replica load
       counters mirrored into fleet-wide numpy arrays (refreshed lazily
       from a dirty set), so routing probes and admission projections run
       as vector operations across all replicas at once against dense
-      price tables.
-    * Replicas must be :class:`~repro.cluster.fleetstate.VectorReplica`
-      instances (primitive slot-array step bookkeeping); the scenario
-      builder constructs them when the spec selects the vectorized core.
+      price tables. In a disaggregated fleet it covers the decode pool,
+      where the per-arrival probes fan out (stage-2 routing, the
+      PathProber's decode term); one FleetState over a mixed-role fleet
+      would mix pool semantics in every probe.
+    * Colocated fleets run their own loop (:meth:`run`) that coalesces
+      arrival runs, inlines admission, and lets a replica's step burst
+      past foreign ``STEP_DONE`` events. Disaggregated fleets run the
+      shared strict loop, where those shortcuts do not hold.
+
+    Replicas must be :class:`~repro.cluster.fleetstate.VectorReplica`
+    instances (primitive slot-array step bookkeeping); the scenario
+    builder constructs them when the spec selects the vectorized core.
     """
 
     def __init__(
@@ -717,35 +736,13 @@ class VectorizedClusterSimulator(ClusterSimulator):
         interconnect: Optional[Interconnect] = None,
     ) -> None:
         super().__init__(replicas, router, admission, interconnect)
-        if self._disaggregated:
-            # Only the decode pool gets the array-backed fleet view: it
-            # is where the per-arrival probes fan out (stage-2 routing,
-            # the PathProber's decode term), while the prefill pool is
-            # probed through the scalar prompt-pass pricer. One
-            # FleetState over a mixed-role fleet would mix pool
-            # semantics in every probe.
-            self.fleet = None
-            self._decode_fleet = FleetState(self._decode_pool)
-        else:
-            self.fleet = FleetState(self.replicas)
+        self.fleet = FleetState(self.fleet)
 
     def run(self, requests: Sequence[Request]) -> ClusterSummary:
         """Serve an arrival-stamped trace; returns the cluster summary."""
-        if not requests:
-            raise ConfigurationError("requests must be non-empty")
         if self._disaggregated:
-            return self._run_disaggregated(requests)
-        trace = sorted(requests, key=lambda r: r.arrival_s)
-        stats: Dict[str, Dict[str, int]] = {}
-        for request in trace:
-            tally = stats.setdefault(
-                request.tenant,
-                {"submitted": 0, "rejected": 0, "deferrals": 0},
-            )
-            tally["submitted"] += 1
-        calendar = EventCalendar(
-            [request.arrival_s for request in trace], trace
-        )
+            return self._run_strict(requests)
+        trace, stats, calendar = self._load_trace(requests)
 
         fleet = self.fleet
         replicas = self.replicas
@@ -764,9 +761,6 @@ class VectorizedClusterSimulator(ClusterSimulator):
         pop_arrival = calendar.pop_arrival
         push_arrival_after = calendar.push_arrival_after
         select = router.select
-
-        def push_followup(time_s: float, request: Request) -> None:
-            calendar.push(time_s, ARRIVAL_CODE, request)
 
         # The admission controller, inlined: one verdict-memo probe and a
         # handful of plain dict/float ops per storm member, no
@@ -960,7 +954,7 @@ class VectorizedClusterSimulator(ClusterSimulator):
                     done_at = replica.on_step_done(now)
                     if replica.followups:
                         self._spawn_followups(
-                            replica, trace, stats, push_followup
+                            replica, trace, stats, calendar
                         )
                 # Inline step burst: while this replica's next completion
                 # strictly precedes every event that could observe it, no
@@ -997,7 +991,7 @@ class VectorizedClusterSimulator(ClusterSimulator):
                     done_at = replica.on_step_done(done_at)
                     if replica.followups:
                         self._spawn_followups(
-                            replica, trace, stats, push_followup
+                            replica, trace, stats, calendar
                         )
                         horizon = calendar.peek_time()
                 fleet.mark_dirty(payload)
@@ -1017,173 +1011,6 @@ class VectorizedClusterSimulator(ClusterSimulator):
         )
         return self._summarize(
             trace, stats, makespan, router_cache, dict(fleet.memo_stats())
-        )
-
-    def _run_disaggregated(
-        self, requests: Sequence[Request]
-    ) -> ClusterSummary:
-        """The role-typed twin of :meth:`run`.
-
-        Same two-stage event semantics as the scalar core's disaggregated
-        path — the equivalence suite pins the summaries — with the decode
-        pool behind its :class:`~repro.cluster.fleetstate.FleetState`:
-        stage-2 routing and the admission prober's decode term answer
-        from the pool's dense tables and verdict memos. The colocated
-        core's arrival-run coalescing is *not* applied here: handoff
-        events (``KV_TRANSFER``) interleave with arrivals, so the
-        frozen-segment invariant it relies on does not hold. Inline step
-        bursts *are*: they engage only while a replica's next completion
-        strictly precedes every pending event (arrivals and transfers
-        included), which is exactly the window in which no probe can
-        observe the fleet — outbound handoffs produced inside a burst
-        are shipped at their inline completion times and re-peek the
-        calendar, so a transfer landing before the next step still ends
-        the burst.
-        """
-        trace = sorted(requests, key=lambda r: r.arrival_s)
-        stats: Dict[str, Dict[str, int]] = {}
-        for request in trace:
-            tally = stats.setdefault(
-                request.tenant,
-                {"submitted": 0, "rejected": 0, "deferrals": 0},
-            )
-            tally["submitted"] += 1
-        calendar = EventCalendar(
-            [request.arrival_s for request in trace], trace
-        )
-
-        replicas = self.replicas
-        router = self.router
-        admission = self.admission
-        interconnect = self.interconnect
-        decode_fleet = self._decode_fleet
-        prefill_pool = self._prefill_pool
-        prefill_indices = self._prefill_indices
-        decode_indices = self._decode_indices
-        decode_local = {
-            index: local for local, index in enumerate(decode_indices)
-        }
-        prober = (
-            self._path_prober(decode_fleet)
-            if admission is not None
-            else None
-        )
-        def push_followup(time_s: float, request: Request) -> None:
-            calendar.push(time_s, ARRIVAL_CODE, request)
-
-        makespan = 0.0
-        while not calendar.empty:
-            now, kind, payload = calendar.pop()
-            makespan = now
-            if kind == ARRIVAL_CODE:
-                request = payload
-                if request.session_id is not None:
-                    self._hint_prefix(request)
-                if admission is not None:
-                    decision, backoff = admission.decide(
-                        request, prober, now
-                    )
-                    if decision is AdmissionDecision.REJECT:
-                        request.state = RequestState.REJECTED
-                        stats[request.tenant]["rejected"] += 1
-                        continue
-                    if decision is AdmissionDecision.DEFER:
-                        stats[request.tenant]["deferrals"] += 1
-                        calendar.push_arrival_after(backoff, request)
-                        continue
-                local = router.select_path(
-                    request, prefill_pool, decode_fleet, interconnect, now
-                )
-                if not 0 <= local < len(prefill_pool):
-                    raise SimulationError(
-                        f"router {router.name!r} returned prefill "
-                        f"replica {local} of {len(prefill_pool)}"
-                    )
-                index = prefill_indices[local]
-                if request.session_id is not None:
-                    self._session_holder[request.session_id] = index
-                replica = replicas[index]
-                replica.enqueue(request)
-                if replica.idle:
-                    calendar.push(now, ADMIT_CODE, index)
-            elif kind == KV_TRANSFER_CODE:
-                request = payload
-                request.transfer_done_s = now
-                request.phase = RequestPhase.DECODE
-                local = router.select(request, decode_fleet, now)
-                if not 0 <= local < len(decode_indices):
-                    raise SimulationError(
-                        f"router {router.name!r} returned decode "
-                        f"replica {local} of {len(decode_indices)}"
-                    )
-                index = decode_indices[local]
-                replica = replicas[index]
-                replica.enqueue(request)
-                decode_fleet.mark_dirty(local)
-                if replica.idle:
-                    calendar.push(now, ADMIT_CODE, index)
-            else:  # ADMIT_CODE / STEP_DONE_CODE
-                replica = replicas[payload]
-                if kind == ADMIT_CODE:
-                    done_at = replica.poke(now)
-                else:
-                    done_at = replica.on_step_done(now)
-                    if replica.followups:
-                        self._spawn_followups(
-                            replica, trace, stats, push_followup
-                        )
-                if replica.outbound:
-                    for request in replica.outbound:
-                        calendar.push(
-                            now
-                            + interconnect.transfer_seconds(
-                                request.context_len
-                            ),
-                            KV_TRANSFER_CODE,
-                            request,
-                        )
-                    replica.outbound.clear()
-                # Inline step burst (see the colocated loop): sound here
-                # because it only engages while this replica's next
-                # completion strictly precedes every pending event —
-                # transfers and arrivals included — and every push from
-                # inside the burst uses the inline completion time, then
-                # re-peeks.
-                peek = calendar.peek_time()
-                while done_at is not None and (
-                    peek is None or done_at < peek
-                ):
-                    compressed = replica.compress_run(done_at, peek)
-                    if compressed is not None:
-                        done_at, makespan = compressed
-                        continue
-                    makespan = done_at
-                    done_at = replica.on_step_done(makespan)
-                    if replica.followups:
-                        self._spawn_followups(
-                            replica, trace, stats, push_followup
-                        )
-                        peek = calendar.peek_time()
-                    if replica.outbound:
-                        for request in replica.outbound:
-                            calendar.push(
-                                makespan
-                                + interconnect.transfer_seconds(
-                                    request.context_len
-                                ),
-                                KV_TRANSFER_CODE,
-                                request,
-                            )
-                        replica.outbound.clear()
-                        peek = calendar.peek_time()
-                local = decode_local.get(payload)
-                if local is not None:
-                    decode_fleet.mark_dirty(local)
-                if done_at is not None:
-                    calendar.push(done_at, STEP_DONE_CODE, payload)
-
-        return self._summarize(
-            trace, stats, makespan, None, dict(decode_fleet.memo_stats())
         )
 
 

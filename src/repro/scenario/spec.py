@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -116,6 +117,21 @@ def _spec_from_dict(cls: type, data: Any, path: str) -> Any:
         ):
             _fail(_join(path, name), "missing required field")
     return cls(**kwargs)
+
+
+def _check_finite(spec: Any, path: str) -> None:
+    """Reject NaN/infinity in every float field under ``spec``: JSON
+    and ``float()`` both parse them, and no range check catches NaN."""
+    if isinstance(spec, tuple):
+        for i, item in enumerate(spec):
+            _check_finite(item, f"{path}[{i}]")
+    elif dataclasses.is_dataclass(spec):
+        for spec_field in fields(spec):
+            _check_finite(
+                getattr(spec, spec_field.name), _join(path, spec_field.name)
+            )
+    elif isinstance(spec, float) and not math.isfinite(spec):
+        _fail(path, f"must be a finite number, got {spec!r}")
 
 
 def _spec_to_dict(spec: Any) -> Dict[str, Any]:
@@ -709,6 +725,7 @@ class ScenarioSpec(SpecBase):
     def validate(self) -> None:
         """Check every constraint; raises ``ConfigurationError`` naming
         the first offending field path."""
+        _check_finite(self, "")
         if not self.name:
             _fail("name", "must be non-empty")
         if self.version != SCENARIO_SCHEMA_VERSION:

@@ -169,28 +169,32 @@ KIND_OF_CODE = {
 
 
 class EventCalendar:
-    """Flat typed event calendar: the vectorized core's event engine.
+    """Flat typed event calendar: both cluster cores' event engine.
 
     The :class:`EventQueue` stores one heap-allocated :class:`Event` per
     occurrence and heapifies all of them — including the entire arrival
     trace, which is *already sorted* and known up front. The calendar
-    splits the timeline into two lanes:
+    splits the timeline into three kinds of lane:
 
     * **Static arrival lane** — the trace's arrival timestamps as one
       flat float64 numpy array (bulk-inserted once, no per-arrival heap
       push), consumed by an advancing pointer. Arrival ``i`` owns
       sequence number ``i``, exactly as if all arrivals had been pushed
-      first — which is what the event-queue core does.
-    * **Dynamic heap** — ADMIT / STEP_DONE / deferred re-ARRIVAL events
-      as primitive ``(time_s, seq, kind_code, payload)`` tuples on a
-      small ``heapq``. Sequence numbers continue monotonically after the
-      arrival lane, so tuple comparison is decided by ``(time_s, seq)``
-      before ever reaching the payload — payloads (request objects,
-      replica indices) ride along without needing comparability.
+      first onto an :class:`EventQueue`.
+    * **Dynamic heap** — ADMIT / STEP_DONE / KV_TRANSFER / follow-up
+      ARRIVAL events as primitive ``(time_s, seq, kind_code, payload)``
+      tuples on a small ``heapq``. Sequence numbers continue
+      monotonically after the arrival lane, so tuple comparison is
+      decided by ``(time_s, seq)`` before ever reaching the payload —
+      payloads (request objects, replica indices) ride along without
+      needing comparability.
+    * **Deferral lanes** — deferred re-ARRIVALs, one FIFO per backoff
+      value (:meth:`push_arrival_after`).
 
     Ordering is bit-identical to an :class:`EventQueue` loaded with the
     same trace: time first, push order breaking ties, arrivals seeded in
-    trace order before any dynamic event exists.
+    trace order before any dynamic event exists. The queue stays as the
+    plain reference the calendar is fuzzed against.
     """
 
     def __init__(
@@ -201,6 +205,8 @@ class EventCalendar:
             raise ConfigurationError(
                 "arrival times and payloads must be parallel 1-D sequences"
             )
+        if not np.isfinite(times).all():
+            raise ConfigurationError("arrival times must be finite")
         if times.shape[0] and times[0] < 0:
             raise ConfigurationError("event time must be non-negative")
         if times.shape[0] > 1 and np.any(np.diff(times) < 0):
@@ -249,7 +255,7 @@ class EventCalendar:
 
     def push(self, time_s: float, kind_code: int, payload: Any = None) -> None:
         """Schedule a dynamic event at ``time_s`` (>= the current clock)."""
-        if time_s < self.now:
+        if not time_s >= self.now:  # written so that NaN fails it too
             kind = KIND_OF_CODE.get(kind_code, kind_code)
             raise SimulationError(
                 f"cannot schedule {kind} at {time_s:.6f}s: "
@@ -272,6 +278,12 @@ class EventCalendar:
         time_s = self.now + delay
         lane = self._defer_lanes.get(delay)
         if lane is None:
+            # Checked once per lane; NaN never opens one, so it always
+            # lands here.
+            if not delay >= 0.0:
+                raise SimulationError(
+                    f"deferral backoff must be non-negative, got {delay!r}"
+                )
             lane = self._defer_lanes[delay] = deque()
             self._lanes.append(lane)
         elif lane and time_s < lane[-1][0]:

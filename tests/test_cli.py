@@ -1,8 +1,72 @@
 """Tests for the command-line interface."""
 
+import json
+import pathlib
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SCENARIOS = (
+    pathlib.Path(__file__).resolve().parents[1] / "examples" / "scenarios"
+)
+
+
+def _run_mutated(name, keys, value):
+    """argv factory: ``repro run`` on example ``name`` with one field set.
+
+    ``json.dumps`` writes NaN and infinities as the ``NaN``/``Infinity``
+    literals, which the scenario loader's ``json.loads`` reads back.
+    """
+
+    def argv(tmp_path):
+        data = json.loads((SCENARIOS / name).read_text())
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return ["run", str(path)]
+
+    return argv
+
+
+NON_FINITE_INPUTS = [
+    pytest.param(
+        _run_mutated(
+            "disaggregated.json",
+            ("fleet", "interconnect", "hop_latency_s"),
+            float("nan"),
+        ),
+        "fleet.interconnect.hop_latency_s",
+        id="hop-latency-nan",
+    ),
+    pytest.param(
+        _run_mutated(
+            "disaggregated.json",
+            ("tenants", 0, "traffic", "rate_per_s"),
+            float("nan"),
+        ),
+        "tenants[0].traffic.rate_per_s",
+        id="rate-nan",
+    ),
+    pytest.param(
+        _run_mutated(
+            "sessions.json",
+            ("fleet", "prefix_cache", "capacity_gb"),
+            float("inf"),
+        ),
+        "fleet.prefix_cache.capacity_gb",
+        id="cache-capacity-infinity",
+    ),
+    pytest.param(
+        lambda tmp_path: ["cluster", "--rate", "nan", "--requests", "8"],
+        "tenants[0].traffic.rate_per_s",
+        id="cluster-rate-nan",
+    ),
+]
 
 
 class TestParser:
@@ -175,6 +239,17 @@ class TestCommands:
         scenario.write_text('{"routing": {"policy": "coin-flip"}}')
         with pytest.raises(SystemExit, match="routing.policy"):
             main(["run", str(scenario)])
+
+    @pytest.mark.parametrize("argv,field", NON_FINITE_INPUTS)
+    def test_non_finite_number_rejected_with_field_path(
+        self, tmp_path, argv, field
+    ):
+        """NaN passes every range check and infinity overflowed the
+        prefix-cache token count; both now fail validation by path."""
+        with pytest.raises(
+            SystemExit, match=re.escape(f"{field}: must be a finite number")
+        ):
+            main(argv(tmp_path))
 
     def test_compare_small(self, capsys):
         code = main([

@@ -260,7 +260,7 @@ CASES = [
 
 
 class TestCoreEquivalence:
-    """The scalar event-queue oracle against the vectorized core."""
+    """The scalar oracle against the vectorized core."""
 
     @pytest.mark.parametrize("policy,admission,prefill,decode,system", CASES)
     def test_scalar_event_bit_identical(
@@ -306,6 +306,18 @@ class TestCoreEquivalence:
             assert _core_fields(spec, "vectorized") == _core_fields(
                 spec, "scalar"
             ), spec.name
+
+    def test_vectorized_probes_through_decode_fleet_state(self):
+        """Vectorized disaggregated runs probe the decode pool through
+        its FleetState. The comparisons above skip ``probe_memo``, so a
+        loop handed the plain replica list would stay bit-identical and
+        pass them while losing the verdict memo."""
+        spec = _scenario("slo-slack", admission="defer")
+        vectorized = run_scenario(apply_core_mode(spec, "vectorized"))
+        memo = vectorized.summary.probe_memo
+        assert memo["probe_hits"] + memo["probe_misses"] > 0
+        scalar = run_scenario(apply_core_mode(spec, "scalar")).summary
+        assert scalar.probe_memo == {}
 
 
 def _mid_life(request_id: int, input_len: int, generated: int) -> Request:

@@ -1,5 +1,7 @@
 """Tests for the discrete-event clock, queue, and flat event calendar."""
 
+import random
+
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
@@ -306,3 +308,117 @@ class TestEventCalendar:
     def test_pop_empty_rejected(self):
         with pytest.raises(SimulationError):
             EventCalendar([], []).pop()
+
+    @pytest.mark.parametrize(
+        "arrivals",
+        [[0.0, float("nan"), 1.0], [0.0, 1.0, float("inf")], [float("nan")]],
+    )
+    def test_non_finite_arrival_rejected(self, arrivals):
+        """NaN slips past the sortedness check (``np.diff < 0`` is False
+        for it), so finiteness is checked on its own."""
+        with pytest.raises(ConfigurationError, match="finite"):
+            EventCalendar(arrivals, ["a"] * len(arrivals))
+
+    def test_nan_push_rejected(self):
+        calendar = EventCalendar([1.0], ["a"])
+        calendar.pop()
+        with pytest.raises(SimulationError):
+            calendar.push(float("nan"), ADMIT_CODE, "never")
+        assert calendar.empty
+
+    def test_nan_deferral_rejected(self):
+        calendar = EventCalendar([1.0], ["a"])
+        calendar.pop()
+        with pytest.raises(SimulationError, match="backoff"):
+            calendar.push_arrival_after(float("nan"), "never")
+        assert calendar.empty
+
+
+CODE_OF_KIND = {kind: code for code, kind in KIND_OF_CODE.items()}
+
+
+class TestCalendarMatchesEventQueue:
+    """Seeded differential fuzz of the calendar against the reference.
+
+    Both cluster cores run on the calendar, so cross-core equivalence no
+    longer checks it independently. Here an :class:`EventQueue` and an
+    :class:`EventCalendar` take the same random operations — dynamic
+    pushes of all four kinds, deferrals on two or three backoff lanes,
+    pops and arrival-only pops — on a coarse time grid that makes
+    exact-timestamp ties common, and every observable is compared after
+    each one.
+    """
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_same_operations_same_timeline(self, seed):
+        rng = random.Random(seed)
+        arrivals = sorted(
+            rng.randrange(40) * 0.25 for _ in range(rng.randrange(30))
+        )
+        payloads = [f"trace-{i}" for i in range(len(arrivals))]
+        queue = EventQueue()
+        for time_s, payload in zip(arrivals, payloads):
+            queue.push(time_s, EventKind.ARRIVAL, payload)
+        calendar = EventCalendar(arrivals, payloads)
+        backoffs = rng.sample([0.25, 0.5, 0.75, 1.5], rng.choice([2, 3]))
+        # Pending events other than STEP_DONE, by payload: the reference
+        # for the interaction horizon.
+        interactions = dict(zip(payloads, arrivals))
+        for op in range(300):
+            roll = rng.random()
+            if roll < 0.3:
+                code, kind = rng.choice(list(KIND_OF_CODE.items()))
+                time_s = queue.now + rng.randrange(8) * 0.25
+                payload = f"push-{op}"
+                queue.push(time_s, kind, payload)
+                calendar.push(time_s, code, payload)
+                if code != STEP_DONE_CODE:
+                    interactions[payload] = time_s
+            elif roll < 0.5:
+                backoff = rng.choice(backoffs)
+                payload = f"defer-{op}"
+                queue.push(queue.now + backoff, EventKind.ARRIVAL, payload)
+                calendar.push_arrival_after(backoff, payload)
+                interactions[payload] = queue.now + backoff
+            elif roll < 0.75:
+                if queue.empty:
+                    with pytest.raises(SimulationError):
+                        calendar.pop()
+                    continue
+                event = queue.pop()
+                assert calendar.pop() == (
+                    event.time_s, CODE_OF_KIND[event.kind], event.payload
+                )
+                interactions.pop(event.payload, None)
+            else:
+                head = queue.peek()
+                popped = calendar.pop_arrival()
+                if head is None or head.kind is not EventKind.ARRIVAL:
+                    assert popped is None
+                else:
+                    event = queue.pop()
+                    assert popped == (event.time_s, event.payload)
+                    del interactions[event.payload]
+            assert calendar.now == queue.now
+            assert len(calendar) == len(queue)
+            assert calendar.empty == queue.empty
+            head = queue.peek()
+            assert calendar.peek_time() == (
+                None if head is None else head.time_s
+            )
+            earliest = min(interactions.values(), default=None)
+            horizon = calendar.peek_interaction_time()
+            if horizon is None:
+                assert earliest is None
+            elif earliest is None or horizon < earliest:
+                # A popped entry at the current instant may linger in
+                # the side heap: conservative, never later.
+                assert horizon == calendar.now
+            else:
+                assert horizon == earliest
+        while not queue.empty:
+            event = queue.pop()
+            assert calendar.pop() == (
+                event.time_s, CODE_OF_KIND[event.kind], event.payload
+            )
+        assert calendar.empty
