@@ -157,7 +157,6 @@ _PHASE_FILES = {
     "stepcache.py": "step_pricing",
     "speculative.py": "step_execution",
     "tlp_policy.py": "step_execution",
-    "batching.py": "step_execution",
     "dataset.py": "request_build",
     "arrivals.py": "request_build",
     "request.py": "request_build",

@@ -14,7 +14,6 @@ Usage::
 
 from repro.analysis.report import format_table
 from repro.models.config import get_model
-from repro.serving.batching import ContinuousBatcher, StaticBatcher
 from repro.serving.dataset import sample_requests
 from repro.serving.engine import ServingEngine
 from repro.serving.speculative import SpeculationConfig
@@ -43,8 +42,8 @@ def main() -> None:
         system=build_system("papi"), model=model,
         speculation=SpeculationConfig(speculation_length=2), seed=11,
     )
-    static_summary = static_engine.run_with_batcher(
-        StaticBatcher(sample_requests("general-qa", 16, seed=11))
+    static_summary = static_engine.run(
+        sample_requests("general-qa", 16, seed=11)
     )
     rows.append(describe("static (batch 16)", static_summary))
 
@@ -52,9 +51,9 @@ def main() -> None:
         system=build_system("papi"), model=model,
         speculation=SpeculationConfig(speculation_length=2), seed=11,
     )
-    continuous_summary = continuous_engine.run_with_batcher(
-        ContinuousBatcher(sample_requests("general-qa", 48, seed=11),
-                          max_batch_size=16)
+    # Every request is queued at t=0; freed slots refill from the queue.
+    continuous_summary = continuous_engine.run_trace(
+        sample_requests("general-qa", 48, seed=11), max_batch_size=16
     )
     rows.append(describe("continuous (48 reqs, cap 16)", continuous_summary))
 
@@ -63,8 +62,8 @@ def main() -> None:
         speculation=SpeculationConfig(speculation_length=2), seed=11,
         tlp_policy=UtilizationAdaptiveTLP(target_tokens=32, max_tlp=8),
     )
-    adaptive_summary = adaptive_engine.run_with_batcher(
-        StaticBatcher(sample_requests("general-qa", 16, seed=11))
+    adaptive_summary = adaptive_engine.run(
+        sample_requests("general-qa", 16, seed=11)
     )
     rows.append(describe("static + adaptive TLP", adaptive_summary))
 

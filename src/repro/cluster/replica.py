@@ -15,16 +15,17 @@ on one simulated clock:
   are refilled, and the next iteration is scheduled.
 
 Iteration pricing goes through the shared
-:class:`~repro.serving.engine.StepPricer`, so replicas honor the same
-context-accounting modes and step-cost cache as the blocking engine.
+:class:`~repro.serving.engine.StepPricer` (context-accounting modes and
+the step-cost cache).
 
-The blocking loop in ``ServingEngine.run_with_batcher`` is deliberately
-*not* folded into this state machine: it must stay bit-identical to the
-seed implementation for paper-figure reproduction and is tuned as a hot
-loop, while this class pays per-event overhead for clock interleaving.
+This is the only decoding state machine. :meth:`ServingEngine.run`
+serves a static batch (every paper figure) by calling
+:meth:`on_step_done` once per iteration; the cluster loops, and with them
+:meth:`ServingEngine.run_trace`, may instead fold a frozen run of
+iterations through :meth:`compress_run`.
 ``tests/test_cluster.py::TestRunTrace::test_matches_static_run_when_all_arrive_at_once``
-pins the two paths to identical results on their common ground — change
-either loop's semantics and that test is the tripwire.
+pins that macro-stepping refinement to the per-iteration ground model:
+every summary field but the makespan must match exactly.
 """
 
 from __future__ import annotations

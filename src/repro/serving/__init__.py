@@ -1,10 +1,13 @@
-"""LLM serving simulation: requests, datasets, batching, decoding loop.
+"""LLM serving simulation: requests, datasets, arrivals, the serving engine.
 
 This layer reproduces the paper's evaluation methodology: batches of
 requests with realistic (Dolly-like) input/output length distributions are
-decoded on a :class:`~repro.systems.base.ServingSystem`, with static or
-mixed continuous batching and optional speculative decoding. Runtime RLP
-decays as requests hit ``<eos>`` (Figure 3), which is precisely the dynamic
+decoded on a :class:`~repro.systems.base.ServingSystem`, with optional
+speculative decoding. :class:`ServingEngine` serves a static batch
+(``run``) or an arrival-stamped trace under mixed continuous batching
+(``run_trace``), both through the cluster layer's
+:class:`~repro.cluster.replica.Replica` state machine. Runtime RLP decays
+as requests hit ``<eos>`` (Figure 3), which is precisely the dynamic
 parallelism PAPI's scheduler exploits.
 """
 
@@ -18,7 +21,6 @@ from repro.serving.dataset import (
     sample_requests,
 )
 from repro.serving.speculative import SpeculationConfig, SpeculativeSampler
-from repro.serving.batching import ContinuousBatcher, StaticBatcher
 from repro.serving.engine import ServingEngine, StepPricer
 from repro.serving.metrics import IterationRecord, RunSummary
 from repro.serving.arrivals import form_dynamic_batches, poisson_arrivals
@@ -36,7 +38,6 @@ from repro.serving.export import summary_to_dict, summary_to_json
 __all__ = [
     "AcceptanceAdaptiveTLP",
     "CREATIVE_WRITING",
-    "ContinuousBatcher",
     "DEFAULT_TENANT",
     "DatasetSpec",
     "Event",
@@ -51,7 +52,6 @@ __all__ = [
     "ServingEngine",
     "SpeculationConfig",
     "SpeculativeSampler",
-    "StaticBatcher",
     "StepCostCache",
     "StepPricer",
     "TLP_POLICY_NAMES",

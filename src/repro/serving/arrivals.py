@@ -12,6 +12,7 @@ full-or-timeout batch former.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
@@ -19,6 +20,17 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.serving.request import Request
+
+
+def _require_finite(**arguments: float) -> None:
+    """Reject NaN and infinite float arguments, naming the argument.
+
+    The range checks below cannot do this alone: ``nan <= 0`` is False,
+    so a NaN rate would pass them and stamp every arrival NaN.
+    """
+    for name, value in arguments.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
 def _require_unstamped(requests: Sequence[Request], process: str) -> None:
@@ -72,9 +84,11 @@ def poisson_arrivals(
         increasing arrival times.
 
     Raises:
-        ConfigurationError: On a non-positive rate, an empty trace, or a
-            request already stamped with an arrival time.
+        ConfigurationError: On a non-finite or non-positive rate, an
+            empty trace, or a request already stamped with an arrival
+            time.
     """
+    _require_finite(rate_per_s=rate_per_s)
     if rate_per_s <= 0:
         raise ConfigurationError("rate_per_s must be positive")
     _require_unstamped(requests, "poisson_arrivals")
@@ -107,9 +121,13 @@ def bursty_arrivals(
     :func:`poisson_arrivals`).
 
     Raises:
-        ConfigurationError: On a non-positive rate or spacing, a burst
-            size below 1, an empty trace, or an already-stamped trace.
+        ConfigurationError: On a non-finite argument, a non-positive
+            rate or spacing, a burst size below 1, an empty trace, or an
+            already-stamped trace.
     """
+    _require_finite(
+        rate_per_s=rate_per_s, burst_size=burst_size, spacing_s=spacing_s
+    )
     if rate_per_s <= 0:
         raise ConfigurationError("rate_per_s must be positive")
     if burst_size < 1:
@@ -154,10 +172,14 @@ def diurnal_arrivals(
     :func:`poisson_arrivals`; arrival times are strictly increasing.
 
     Raises:
-        ConfigurationError: On a non-positive rate or period, a
-            peak-to-trough ratio below 1, an empty trace, or an
-            already-stamped trace.
+        ConfigurationError: On a non-finite argument, a non-positive
+            rate or period, a peak-to-trough ratio below 1, an empty
+            trace, or an already-stamped trace.
     """
+    _require_finite(
+        rate_per_s=rate_per_s, period_s=period_s,
+        peak_to_trough=peak_to_trough,
+    )
     if rate_per_s <= 0:
         raise ConfigurationError("rate_per_s must be positive")
     if period_s <= 0:
@@ -221,6 +243,7 @@ def form_dynamic_batches(
     Returns:
         Batches in launch order; every request appears exactly once.
     """
+    _require_finite(timeout_s=timeout_s)
     if max_batch_size <= 0:
         raise ConfigurationError("max_batch_size must be positive")
     if timeout_s <= 0:

@@ -1,8 +1,10 @@
 """The serving engine: drives a system through prefill + decoding.
 
-The engine is the discrete simulator of the paper's evaluation: it admits
-requests through a batching policy, charges prefill on the system's
-compute-bound unit, then iterates decoding steps. Every iteration it
+The engine is the discrete simulator of the paper's evaluation. It
+serves through one :class:`~repro.cluster.replica.Replica`, the decoding
+state machine every cluster run uses, which charges prefill on the
+system's compute-bound unit, then iterates decoding steps. Every
+iteration it
 
 1. asks the TLP policy for the speculation length (fixed in the paper's
    main experiments; dynamic policies model its references [28]/[38]) and
@@ -15,6 +17,10 @@ compute-bound unit, then iterates decoding steps. Every iteration it
    finished — and feeds it to the system's runtime monitor, exactly the
    token-level monitoring loop of Section 5.2.2.
 
+:meth:`ServingEngine.run` steps a static batch one iteration at a time;
+:meth:`ServingEngine.run_trace` serves an arrival-stamped trace through
+the single-replica case of the cluster event loop.
+
 Two pricing refinements sit behind engine knobs:
 
 * ``context_mode`` — ``"per-request"`` (default) prices attention as the
@@ -26,19 +32,13 @@ Two pricing refinements sit behind engine knobs:
   :class:`~repro.serving.stepcache.StepCostCache`, which removes most of
   the cost-model work from design-space sweeps (identical steps are
   re-priced thousands of times).
-
-Arrival-driven serving (requests admitted at their trace timestamps,
-latency measured from arrival) lives in :meth:`ServingEngine.run_trace`,
-which runs the single-replica case of the cluster event loop in
-``repro.cluster``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
-from repro.core.scheduler import EOS_TOKEN
 from repro.errors import ConfigurationError, SimulationError
 from repro.models.config import ModelConfig
 from repro.models.moe import MoEModelConfig
@@ -47,15 +47,12 @@ from repro.models.workload import (
     build_decode_step,
     workload_name,
 )
-from repro.serving.batching import ContinuousBatcher, StaticBatcher
-from repro.serving.metrics import DETAIL_MODES, IterationRecord, RunSummary
-from repro.serving.request import Request, RequestState
-from repro.serving.speculative import SpeculationConfig, SpeculativeSampler
+from repro.serving.metrics import DETAIL_MODES, RunSummary
+from repro.serving.request import Request
+from repro.serving.speculative import SpeculationConfig
 from repro.serving.stepcache import StepCostCache
-from repro.serving.tlp_policy import FixedTLP, TLPPolicy, TLPTrace
+from repro.serving.tlp_policy import TLPPolicy, TLPTrace
 from repro.systems.base import IterationResult, ServingSystem
-
-Batcher = Union[StaticBatcher, ContinuousBatcher]
 
 #: Safety valve against runaway simulations.
 MAX_ITERATIONS = 1_000_000
@@ -69,8 +66,8 @@ class StepPricer:
     """Prices decoding iterations for a batch of active requests.
 
     Encapsulates the context-accounting mode, optional context bucketing,
-    and the optional step-cost cache, so the blocking engine loop and the
-    event-driven cluster replicas share one pricing path.
+    and the optional step-cost cache. Every replica owns one, so static
+    batches, traces and cluster runs share one pricing path.
 
     Attributes:
         system: The platform pricing the steps.
@@ -281,7 +278,7 @@ class ServingEngine:
         tlp_policy: Optional dynamic speculation-length policy. ``None``
             uses the fixed configured length.
         seed: Seed for the acceptance sampler.
-        check_capacity: Validate weight/KV capacity before running.
+        check_capacity: Validate weight/KV capacity at each admission.
         tlp_trace: TLP chosen each iteration (populated during a run).
         context_mode: Context accounting: ``"per-request"`` (exact) or
             ``"mean"`` (the original rounded-mean approximation, kept for
@@ -311,7 +308,14 @@ class ServingEngine:
 
     def __post_init__(self) -> None:
         # Fail on bad knobs at construction, not mid-run.
-        self._make_pricer()
+        StepPricer(
+            system=self.system,
+            model=self.model,
+            context_mode=self.context_mode,
+            context_bucket=self.context_bucket,
+            step_cache=self.step_cache,
+            moe=self.moe,
+        )
         if self.detail not in DETAIL_MODES:
             raise ConfigurationError(
                 f"detail must be one of {DETAIL_MODES}, got {self.detail!r}"
@@ -323,19 +327,24 @@ class ServingEngine:
         :func:`~repro.models.workload.workload_name`)."""
         return workload_name(self.model, self.moe)
 
-    def _make_pricer(self) -> StepPricer:
-        return StepPricer(
-            system=self.system,
-            model=self.model,
-            context_mode=self.context_mode,
-            context_bucket=self.context_bucket,
-            step_cache=self.step_cache,
-            moe=self.moe,
-        )
-
     def run(self, requests: Sequence[Request]) -> RunSummary:
-        """Serve a static batch of requests to completion."""
-        return self.run_with_batcher(StaticBatcher(requests))
+        """Serve a static batch of requests to completion.
+
+        One slot per request, so runtime RLP only decays (Figure 3). The
+        batch launches once its last member has arrived: latencies count
+        from each request's own ``arrival_s``, the wait is
+        ``queueing_seconds``, and ``makespan_seconds`` is the busy time.
+        """
+        if not requests:
+            raise ConfigurationError("cannot serve an empty batch")
+        replica = self._replica(len(requests))
+        for request in requests:
+            replica.enqueue(request)
+        done_at = replica.poke(max(r.arrival_s for r in requests))
+        while done_at is not None:
+            done_at = replica.on_step_done(done_at)
+        self.tlp_trace = replica.tlp_trace
+        return replica.finalize(replica.summary.total_seconds)
 
     def run_trace(
         self, requests: Sequence[Request], max_batch_size: int
@@ -343,9 +352,11 @@ class ServingEngine:
         """Serve an arrival-stamped trace with event-driven admission.
 
         Requests enter at their ``arrival_s`` timestamps and wait in a
-        queue until a batch slot opens; per-request latency therefore
-        covers queueing + prefill + decoding. This is the single-replica
-        case of the cluster event loop (``repro.cluster``).
+        FIFO queue until a batch slot opens. Freed slots refill at
+        iteration granularity — mixed continuous batching (Section
+        2.2.1), which keeps RLP near the slot count. Per-request latency
+        therefore covers queueing + prefill + decoding. This is the
+        single-replica case of the cluster event loop (``repro.cluster``).
 
         Args:
             requests: Requests with ``arrival_s`` stamped (e.g. via
@@ -356,9 +367,17 @@ class ServingEngine:
             The run summary, with ``makespan_seconds`` covering the whole
             trace and ``queueing_seconds`` aggregating admission waits.
         """
+        replica = self._replica(max_batch_size)
+        replica.serve_trace(requests)
+        self.tlp_trace = replica.tlp_trace
+        return replica.summary
+
+    def _replica(self, max_batch_size: int):
+        """A fresh single replica carrying this engine's configuration."""
+        # Imported here: repro.cluster.replica imports this module.
         from repro.cluster.replica import Replica
 
-        replica = Replica(
+        return Replica(
             replica_id=0,
             system=self.system,
             model=self.model,
@@ -373,125 +392,6 @@ class ServingEngine:
             moe=self.moe,
             detail=self.detail,
         )
-        replica.serve_trace(requests)
-        self.tlp_trace = replica.tlp_trace
-        return replica.summary
-
-    def run_with_batcher(self, batcher: Batcher) -> RunSummary:
-        """Serve a workload under an arbitrary batching policy."""
-        sampler = SpeculativeSampler(self.speculation, seed=self.seed)
-        summary = RunSummary(
-            system=self.system.name, model=self.workload_name, detail=self.detail
-        )
-        policy = self.tlp_policy if self.tlp_policy is not None else FixedTLP(
-            self.speculation.tlp
-        )
-        self.tlp_trace = TLPTrace()
-        pricer = self._make_pricer()
-
-        active = batcher.active()
-        if self.check_capacity:
-            # Validate the whole workload, not just the initial batch: a
-            # queued request with a longer input+output must still fit KV
-            # capacity once continuous batching admits it.
-            everyone = batcher.all_requests()
-            max_seq = max(r.input_len + r.output_len for r in everyone)
-            self.system.check_capacity(
-                self.model, batcher.initial_batch_size, max_seq, moe=self.moe
-            )
-
-        # Initial scheduling uses the system-configured speculation length
-        # (Section 5.2.1: 'TLP is set to the system-defined speculation
-        # length'); dynamic policies take over from the first iteration.
-        clock = self._charge_prefill(summary, active)
-        current_tlp = self.speculation.tlp
-        self.system.begin_batch(len(active), current_tlp)
-
-        # Hot loop: bind the per-iteration callees once. The loop runs
-        # hundreds of thousands of times in design-space sweeps, where
-        # attribute lookups are a measurable slice of wall-clock.
-        price = pricer.price
-        next_tlp = policy.next_tlp
-        trace_tlp = self.tlp_trace.record
-        accepted_tokens = sampler.accepted_tokens
-        record_latency = summary.record_request_latency
-        draft_overhead = self.speculation.draft_overhead_s
-        observe_outputs = self.system.observe_outputs
-        add_iteration = summary.add_iteration
-        finished_state = RequestState.FINISHED
-
-        iteration = 0
-        accepted_fraction = 1.0
-        while True:
-            if iteration >= MAX_ITERATIONS:
-                raise SimulationError("decoding did not converge (runaway loop)")
-            if not active:
-                fresh = batcher.admit()
-                if not fresh:
-                    break
-                clock += self._charge_prefill(summary, fresh)
-                self.system.begin_batch(len(fresh), current_tlp)
-                active = fresh
-                continue
-
-            rlp = len(active)
-            tlp = next_tlp(iteration, rlp, accepted_fraction)
-            if tlp != current_tlp:
-                self.system.update_tlp(tlp)
-                current_tlp = tlp
-            trace_tlp(tlp)
-
-            result = price(active, tlp)
-            draft_seconds = draft_overhead(tlp)
-            summary.draft_seconds += draft_seconds
-            clock += draft_seconds + result.seconds
-
-            accepted_total = 0
-            outputs: List[int] = []
-            still_active: List[Request] = []
-            # Latency is the run-relative wall clock at finish time:
-            # queueing (iterations spent waiting for a slot), prefill, and
-            # decoding. The blocking loop starts its clock at admission of
-            # the first batch — arrival stamps are the event-driven
-            # run_trace path's job (dynamic batches launched via
-            # form_dynamic_batches carry their own start_s offset).
-            serial = tlp == 1  # no draft model => exactly one token, no RNG
-            for request in active:
-                accepted = 1 if serial else accepted_tokens(tlp)
-                credited = request.advance(accepted, iteration)
-                accepted_total += credited
-                if request.state is finished_state:
-                    outputs.append(EOS_TOKEN)
-                    record_latency(clock)
-                else:
-                    outputs.append(0)
-                    still_active.append(request)
-            accepted_fraction = self._accepted_fraction(
-                accepted_total, rlp, tlp
-            )
-
-            observe_outputs(outputs)
-            add_iteration(
-                IterationRecord(
-                    iteration=iteration,
-                    result=result,
-                    tokens_accepted=accepted_total,
-                    rlp_before=rlp,
-                    rlp_after=len(still_active),
-                )
-            )
-            iteration += 1
-            active = still_active
-
-            fresh = batcher.admit()
-            if fresh:
-                clock += self._charge_prefill(summary, fresh)
-                active = active + fresh
-                self.system.begin_batch(len(active), current_tlp)
-
-        summary.reschedules = self._reschedule_count()
-        summary.makespan_seconds = summary.total_seconds
-        return summary
 
     @staticmethod
     def _accepted_fraction(accepted_total: int, rlp: int, tlp: int) -> float:
@@ -501,23 +401,3 @@ class ServingEngine:
         drafted = rlp * (tlp - 1)
         accepted_drafts = max(0, accepted_total - rlp)
         return accepted_drafts / drafted
-
-    def _charge_prefill(
-        self, summary: RunSummary, requests: Sequence[Request]
-    ) -> float:
-        """Charge prefill for ``requests``; returns the seconds consumed."""
-        if not requests:
-            return 0.0
-        mean_input = max(1, round(sum(r.input_len for r in requests) / len(requests)))
-        result = self.system.execute_prefill(self.model, len(requests), mean_input)
-        summary.prefill_seconds += result.seconds
-        summary.prefill_energy += result.energy_joules
-        for request in requests:
-            request.state = RequestState.DECODING
-        return result.seconds
-
-    def _reschedule_count(self) -> int:
-        scheduler = getattr(self.system, "scheduler", None)
-        if scheduler is None:
-            return 0
-        return scheduler.reschedule_count

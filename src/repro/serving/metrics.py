@@ -90,7 +90,8 @@ class RunSummary:
         request_latencies: Per-request completion latencies (arrival to
             ``<eos>``: queueing + prefill + decode).
         queueing_seconds: Total time requests spent waiting for admission
-            (arrival-driven runs; 0 when every request is admitted at once).
+            (0 when every request is admitted on arrival; a stamped static
+            batch waits for its last member).
         makespan_seconds: Simulated wall-clock span of the run. Equals
             ``total_seconds`` for back-to-back batch runs; under sparse
             arrival traces it also covers idle gaps between batches.

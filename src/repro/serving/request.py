@@ -48,7 +48,7 @@ class Request:
         output_len: Tokens the request will generate before ``<eos>``.
         generated: Output tokens produced so far.
         state: Lifecycle state.
-        arrival_s: Arrival time (relevant for continuous batching).
+        arrival_s: Arrival time; latency counts from it.
         finish_iteration: Decoding iteration at which the request finished.
         tenant: Traffic-class label for multi-tenant runs; requests of one
             tenant share an SLO budget and are reported together.
@@ -176,8 +176,8 @@ class Request:
 
         Best-effort requests (no deadline) meet it vacuously once they
         finish; unfinished or rejected requests never do, and neither do
-        requests finished on a path that doesn't stamp ``finish_s``
-        (only the arrival-driven cluster/replica paths do).
+        requests finished without a ``finish_s`` stamp (every replica
+        stamps it; a bare :meth:`advance` does not).
         """
         if not self.is_finished or self.finish_s < 0:
             return False

@@ -1,5 +1,7 @@
 """Tests for the multi-replica cluster layer (routing, replicas, events)."""
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import (
@@ -21,8 +23,10 @@ from repro.models.config import get_model
 from repro.serving.arrivals import poisson_arrivals
 from repro.serving.dataset import sample_requests
 from repro.serving.engine import ServingEngine
+from repro.serving.metrics import RunSummary
 from repro.serving.request import Request, RequestState
 from repro.serving.speculative import SpeculationConfig
+from repro.serving.tlp_policy import UtilizationAdaptiveTLP
 from repro.systems.registry import build_system
 
 
@@ -368,32 +372,67 @@ class TestReplica:
 
 
 class TestRunTrace:
-    def test_matches_static_run_when_all_arrive_at_once(self):
-        """With every request arriving at t=0 and a batch slot for each,
-        the event-driven path degenerates to the blocking static loop:
-        token counts, time accounting, and latencies must all agree."""
+    @staticmethod
+    def _assert_trace_matches_run(context_mode, tlp):
+        """Serve one 16-request batch both ways; return the trace replica.
+
+        With every request arriving at t=0 and a batch slot for each, the
+        event-driven path serves exactly the static batch. ``run`` steps
+        every iteration (the ground model) while the cluster loop may
+        macro-step frozen runs, so every summary field but the makespan —
+        records, latencies and the TLP trace included — must match bit
+        for bit.
+        """
         model = get_model("llama-65b")
+        speculation = SpeculationConfig(
+            speculation_length=1 if tlp == "tlp1" else 2
+        )
 
-        def engine():
-            return ServingEngine(
-                system=build_system("papi"),
-                model=model,
-                speculation=SpeculationConfig(speculation_length=2),
-                seed=17,
+        def policy():
+            if tlp == "adaptive":
+                return UtilizationAdaptiveTLP(target_tokens=24, max_tlp=8)
+            return None
+
+        engine = ServingEngine(
+            system=build_system("papi"),
+            model=model,
+            speculation=speculation,
+            tlp_policy=policy(),
+            seed=17,
+            context_mode=context_mode,
+        )
+        static = engine.run(sample_requests("general-qa", 16, seed=17))
+        replica = Replica(
+            replica_id=0,
+            system=build_system("papi"),
+            model=model,
+            max_batch_size=16,
+            speculation=speculation,
+            tlp_policy=policy(),
+            seed=17,
+            context_mode=context_mode,
+        )
+        trace = replica.serve_trace(sample_requests("general-qa", 16, seed=17))
+        for field in dataclasses.fields(RunSummary):
+            if field.name == "makespan_seconds":
+                continue
+            assert getattr(trace, field.name) == getattr(static, field.name), (
+                field.name
             )
+        assert trace.records
+        assert replica.tlp_trace.values == engine.tlp_trace.values
+        return replica
 
-        classic = engine().run(sample_requests("general-qa", 8, seed=17))
-        trace = engine().run_trace(
-            sample_requests("general-qa", 8, seed=17), max_batch_size=8
-        )
-        assert trace.tokens_generated == classic.tokens_generated
-        assert trace.iterations == classic.iterations
-        assert trace.decode_seconds == pytest.approx(classic.decode_seconds)
-        assert trace.prefill_seconds == pytest.approx(classic.prefill_seconds)
-        assert trace.request_latencies == pytest.approx(
-            classic.request_latencies
-        )
-        assert trace.queueing_seconds == 0.0
+    def test_matches_static_run_when_all_arrive_at_once(self):
+        """Mean mode at TLP 1 is the case the cluster loop macro-steps:
+        the exact match must hold with most iterations compressed."""
+        replica = self._assert_trace_matches_run("mean", "tlp1")
+        assert replica.step_macro["iterations_compressed"] > 0
+
+    @pytest.mark.parametrize("context_mode", ["mean", "per-request"])
+    @pytest.mark.parametrize("tlp", ["tlp1", "spec2", "adaptive"])
+    def test_matches_static_run_in_every_mode(self, context_mode, tlp):
+        self._assert_trace_matches_run(context_mode, tlp)
 
     def test_latency_includes_queueing(self):
         """A request that arrives while the batch is full waits, and its

@@ -16,10 +16,12 @@ of silently skewing a study.
 
 import dataclasses
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.scenario import load_scenario
 from repro.scenario.spec import (
     FleetSpec,
     MoESpec,
@@ -372,14 +374,102 @@ class TestCoreModeSpec:
         loudly, naming the field, instead of silently changing meaning."""
         import json
 
-        from repro.scenario import load_scenario
-
         data = _scenario("min-cost").to_dict()
         data[section][field] = value
         path = tmp_path / "retired.json"
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigurationError, match=f"{section}.{field}"):
             load_scenario(str(path))
+
+
+MIXED_FLEET = (
+    Path(__file__).resolve().parent.parent
+    / "examples" / "scenarios" / "mixed_fleet.json"
+)
+
+
+def _with_replicas(spec: ScenarioSpec, **changes) -> ScenarioSpec:
+    replicas = tuple(
+        dataclasses.replace(replica, **changes)
+        for replica in spec.fleet.replicas
+    )
+    return dataclasses.replace(
+        spec, fleet=dataclasses.replace(spec.fleet, replicas=replicas)
+    )
+
+
+def _one_replica(spec: ScenarioSpec) -> ScenarioSpec:
+    replica = dataclasses.replace(spec.fleet.replicas[0], count=1)
+    return dataclasses.replace(
+        spec, fleet=dataclasses.replace(spec.fleet, replicas=(replica,))
+    )
+
+
+def _with_slo(spec: ScenarioSpec, slo: SLOSpec) -> ScenarioSpec:
+    return dataclasses.replace(
+        spec,
+        tenants=tuple(
+            dataclasses.replace(tenant, slo=slo) for tenant in spec.tenants
+        ),
+    )
+
+
+def _single_request(spec: ScenarioSpec) -> ScenarioSpec:
+    tenant = spec.tenants[0]
+    tenant = dataclasses.replace(
+        tenant, traffic=dataclasses.replace(tenant.traffic, requests=1)
+    )
+    return dataclasses.replace(spec, tenants=(tenant,))
+
+
+#: Degenerate variants of the checked-in mixed fleet.
+DEGENERATE_FLEETS = {
+    "one-replica": _one_replica,
+    "batch-1": lambda spec: _with_replicas(spec, max_batch_size=1),
+    "one-replica-batch-1": lambda spec: _with_replicas(
+        _one_replica(spec), max_batch_size=1
+    ),
+    "single-request": _single_request,
+    "all-rejected": lambda spec: _with_slo(
+        spec, SLOSpec(p99_seconds=1e-6, admission="reject")
+    ),
+    "deferred-twice-then-rejected": lambda spec: _with_slo(
+        spec, SLOSpec(p99_seconds=1e-6, admission="defer", max_defers=2)
+    ),
+}
+
+
+class TestDegenerateFleets:
+    @pytest.mark.parametrize("variant", sorted(DEGENERATE_FLEETS))
+    def test_cores_agree_and_conserve_requests(self, variant):
+        """One replica, one slot, one request, or nothing admitted: both
+        cores finish, agree exactly, and account for every request."""
+        spec = load_scenario(str(MIXED_FLEET))
+        spec = dataclasses.replace(
+            spec,
+            tenants=tuple(
+                dataclasses.replace(
+                    tenant,
+                    traffic=dataclasses.replace(tenant.traffic, requests=8),
+                )
+                for tenant in spec.tenants
+            ),
+        )
+        spec = DEGENERATE_FLEETS[variant](spec)
+        aggregates = {}
+        for core in ("scalar", "vectorized"):
+            result = run_scenario(apply_core_mode(spec, core))
+            for name, report in result.tenants.items():
+                assert report.submitted == report.served + report.rejected, (
+                    core, name,
+                )
+                if variant == "all-rejected":
+                    assert report.rejected == report.submitted
+                if variant == "deferred-twice-then-rejected":
+                    assert report.rejected == report.submitted
+                    assert report.deferrals == 2 * report.submitted
+            aggregates[core] = aggregate_fields(result)
+        assert aggregates["scalar"] == aggregates["vectorized"]
 
 
 def _many_tenant_spec(tenants: int = 5, requests: int = 12) -> ScenarioSpec:

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.models.config import get_model
-from repro.serving.batching import ContinuousBatcher
 from repro.serving.dataset import sample_requests
 from repro.serving.engine import ServingEngine
 from repro.serving.speculative import SpeculationConfig
@@ -113,9 +112,7 @@ class TestFullFeatureComposition:
             tlp_policy=UtilizationAdaptiveTLP(target_tokens=24, max_tlp=8),
             seed=27,
         )
-        summary = engine.run_with_batcher(
-            ContinuousBatcher(queue, max_batch_size=8)
-        )
+        summary = engine.run_trace(queue, max_batch_size=8)
         assert summary.tokens_generated == expected
         assert engine.tlp_trace.changes >= 1
         assert system.scheduler.tlp_register.writes >= 2

@@ -273,6 +273,77 @@ class TestDynamicBatching:
         assert batches[0].start_s == pytest.approx(1.0)
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize(
+        "call,argument",
+        [
+            pytest.param(
+                lambda r: poisson_arrivals(r, rate_per_s=NAN),
+                "rate_per_s", id="poisson-rate-nan",
+            ),
+            pytest.param(
+                lambda r: poisson_arrivals(r, rate_per_s=INF),
+                "rate_per_s", id="poisson-rate-inf",
+            ),
+            pytest.param(
+                lambda r: bursty_arrivals(r, rate_per_s=NAN, burst_size=2),
+                "rate_per_s", id="bursty-rate-nan",
+            ),
+            pytest.param(
+                lambda r: bursty_arrivals(r, rate_per_s=5.0, burst_size=INF),
+                "burst_size", id="bursty-size-inf",
+            ),
+            pytest.param(
+                lambda r: bursty_arrivals(
+                    r, rate_per_s=5.0, burst_size=2, spacing_s=NAN
+                ),
+                "spacing_s", id="bursty-spacing-nan",
+            ),
+            pytest.param(
+                lambda r: diurnal_arrivals(
+                    r, rate_per_s=INF, period_s=10.0, peak_to_trough=2.0
+                ),
+                "rate_per_s", id="diurnal-rate-inf",
+            ),
+            pytest.param(
+                lambda r: diurnal_arrivals(
+                    r, rate_per_s=5.0, period_s=NAN, peak_to_trough=2.0
+                ),
+                "period_s", id="diurnal-period-nan",
+            ),
+            pytest.param(
+                lambda r: diurnal_arrivals(
+                    r, rate_per_s=5.0, period_s=10.0, peak_to_trough=INF
+                ),
+                "peak_to_trough", id="diurnal-ratio-inf",
+            ),
+            pytest.param(
+                lambda r: form_dynamic_batches(
+                    poisson_arrivals(r, rate_per_s=5.0), 2, timeout_s=NAN
+                ),
+                "timeout_s", id="batches-timeout-nan",
+            ),
+            pytest.param(
+                lambda r: form_dynamic_batches(
+                    poisson_arrivals(r, rate_per_s=5.0), 2, timeout_s=INF
+                ),
+                "timeout_s", id="batches-timeout-inf",
+            ),
+        ],
+    )
+    def test_rejected_naming_the_argument(self, call, argument):
+        """``x <= 0`` is False for NaN: without a finiteness check a NaN
+        rate stamps every arrival NaN and an infinite one stamps 0.0."""
+        with pytest.raises(
+            ConfigurationError, match=f"{argument} must be finite"
+        ):
+            call(make_requests(4))
+
+
 class TestPipelinedExecution:
     @pytest.fixture
     def step(self):

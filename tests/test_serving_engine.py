@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import CapacityError, ConfigurationError
 from repro.models.config import get_model
-from repro.serving.batching import ContinuousBatcher
 from repro.serving.dataset import sample_requests
 from repro.serving.engine import ServingEngine
 from repro.serving.metrics import energy_efficiency, speedup
@@ -78,6 +77,13 @@ class TestEngineBasics:
         assert a.total_energy == b.total_energy
         assert a.tokens_generated == b.tokens_generated
 
+    def test_empty_batch_rejected(self):
+        engine = ServingEngine(
+            system=build_system("papi"), model=get_model("llama-65b")
+        )
+        with pytest.raises(ConfigurationError, match="empty batch"):
+            engine.run([])
+
     def test_capacity_check_enforced(self):
         system = build_system("papi")
         model = get_model("gpt3-175b")
@@ -140,22 +146,23 @@ class TestPAPIDynamics:
 class TestCapacityOverWholeWorkload:
     def test_queued_requests_validated(self):
         """A queued request longer than anything in the initial batch must
-        not slip past the capacity check (it will be admitted later with
-        the same KV budget)."""
+        not slip past the capacity check: it is checked when it is
+        admitted into a freed slot, against the batch it joins."""
         system = build_system("papi")
         model = get_model("gpt3-175b")
         cap = system.max_batch_size(model, 2100)
+        # Request 0 finishes first, so the long request joins cap - 1
+        # live requests instead of running alone after the batch drains.
         short = [
-            Request(request_id=i, input_len=100, output_len=100)
+            Request(request_id=i, input_len=100,
+                    output_len=10 if i == 0 else 100)
             for i in range(cap)
         ]
         # Way past the per-request KV budget at the full batch size.
         monster = Request(request_id=cap, input_len=100, output_len=50_000)
         engine = ServingEngine(system=system, model=model)
-        with pytest.raises(CapacityError):
-            engine.run_with_batcher(
-                ContinuousBatcher(short + [monster], max_batch_size=cap)
-            )
+        with pytest.raises(CapacityError, match=f"batch {cap} x 50100"):
+            engine.run_trace(short + [monster], max_batch_size=cap)
 
 
 class TestLatencyAccounting:
@@ -180,6 +187,35 @@ class TestLatencyAccounting:
             for r in requests
         )
         assert sorted(summary.request_latencies) == pytest.approx(expected)
+
+    def test_stamped_batch_launches_at_last_arrival(self):
+        """A stamped batch launches once its last member has arrived: the
+        wait is queueing, each latency counts from the request's own
+        arrival, and decoding is the unstamped batch's exactly."""
+        def run(arrivals):
+            requests = [
+                Request(request_id=i, input_len=32, output_len=12,
+                        arrival_s=arrival)
+                for i, arrival in enumerate(arrivals)
+            ]
+            engine = ServingEngine(
+                system=build_system("papi"), model=get_model("llama-65b")
+            )
+            return engine.run(requests), requests
+
+        unstamped, _ = run([0.0, 0.0])
+        stamped, requests = run([0.0, 1.0])
+        assert stamped.queueing_seconds == 1.0
+        assert unstamped.queueing_seconds == 0.0
+        assert stamped.decode_seconds == unstamped.decode_seconds
+        assert stamped.records == unstamped.records
+        assert stamped.request_latencies == [
+            r.finish_s - r.arrival_s for r in requests
+        ]
+        assert stamped.request_latencies == pytest.approx(
+            [unstamped.request_latencies[0] + 1.0,
+             unstamped.request_latencies[1]]
+        )
 
     def test_makespan_matches_total_for_batch_runs(self):
         engine = ServingEngine(
@@ -225,23 +261,29 @@ class TestContinuousBatching:
         model = get_model("llama-65b")
         engine = ServingEngine(system=build_system("papi"), model=model)
         queue = small_requests(10, output_len=8)
-        summary = engine.run_with_batcher(ContinuousBatcher(queue, max_batch_size=4))
+        summary = engine.run_trace(queue, max_batch_size=4)
         assert all(r.is_finished for r in queue)
         assert summary.tokens_generated == 10 * 8
+
+    def test_freed_slots_refill_fifo(self):
+        """Slots freed by finished requests refill from the queue in
+        arrival order at the next iteration."""
+        engine = ServingEngine(
+            system=build_system("papi"), model=get_model("llama-65b")
+        )
+        queue = small_requests(6, output_len=1)
+        summary = engine.run_trace(queue, max_batch_size=3)
+        assert [r.finish_iteration for r in queue] == [0, 0, 0, 1, 1, 1]
+        assert summary.rlp_trace() == [3, 3]
 
     def test_continuous_sustains_higher_rlp_than_static(self):
         model = get_model("llama-65b")
         queue = sample_requests("general-qa", 24, seed=5)
         cont = ServingEngine(system=build_system("papi"), model=model, seed=5)
-        summary_cont = cont.run_with_batcher(
-            ContinuousBatcher(queue, max_batch_size=8)
-        )
+        summary_cont = cont.run_trace(queue, max_batch_size=8)
         static_reqs = sample_requests("general-qa", 24, seed=5)
         stat = ServingEngine(system=build_system("papi"), model=model, seed=5)
-        summary_stat = stat.run_with_batcher(
-            __import__("repro.serving.batching", fromlist=["StaticBatcher"])
-            .StaticBatcher(static_reqs[:8])
-        )
+        summary_stat = stat.run(static_reqs[:8])
         trace = summary_cont.rlp_trace()
         # Continuous batching keeps slots refilled: mean RLP near the cap.
         assert sum(trace) / len(trace) > 6.0
