@@ -423,7 +423,6 @@ def test_cluster_scale(benchmark, show):
         ["speedup (vec vs scalar)", scalar_ref["speedup"]],
         ["probe memo hit rate", memo.get("hit_rate", 0.0)],
         ["probe memo hits", memo.get("probe_hits", 0)],
-        ["arrival runs coalesced", memo.get("runs_coalesced", 0)],
         ["equivalence traces", payload["equivalence_traces"]],
         ["mismatches", payload["mismatches"]],
         ["macro steps", int(payload["step_macro"].get("macro_steps", 0))],

@@ -3,7 +3,8 @@
 Paper abstract / Section 7.2: 1.8x over A100+AttAcc, 1.9x over
 A100+HBM-PIM, 11.1x over AttAcc-only, 3.4x energy efficiency over
 A100+AttAcc (creative-writing grid). We assert direction and rough
-magnitude; EXPERIMENTS.md records paper-vs-measured values.
+magnitude. ROADMAP.md item 6 tables the paper-vs-measured headline
+values (a checked-in ledger is still open).
 """
 
 from benchmarks.conftest import run_once

@@ -24,6 +24,7 @@ controller existed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -69,8 +70,11 @@ class TenantPolicy:
             raise ConfigurationError(
                 f"unknown admission action {self.action!r}; known: {known}"
             )
-        if self.defer_seconds <= 0:
-            raise ConfigurationError("defer_seconds must be positive")
+        if not 0 < self.defer_seconds < math.inf:  # NaN fails it too
+            raise ConfigurationError(
+                "defer_seconds must be positive and finite, got "
+                f"{self.defer_seconds!r}"
+            )
         if self.max_defers < 0:
             raise ConfigurationError("max_defers must be non-negative")
 

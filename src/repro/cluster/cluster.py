@@ -47,29 +47,6 @@ from repro.serving.clock import (
 from repro.serving.metrics import RunSummary, latency_percentile_of
 from repro.serving.request import Request, RequestPhase, RequestState
 
-#: How far ahead the vectorized core peeks into the pending arrival run
-#: (presorted static lane plus deferral lanes) when it coalesces: deep
-#: enough to batch-project a whole synchronized deferral storm in one
-#: dense matrix pass, while peeking stays O(members) per run — each
-#: member is scanned once, amortized by the run it belongs to.
-ARRIVAL_RUN_PEEK = 64
-
-#: After this many consecutive arrival runs priced no new table point,
-#: the dense price tables are considered converged and the per-run
-#: warm-up pass is skipped: probes answer from the tables directly, and
-#: a late never-seen operating point simply prices through the
-#: incremental lane refresh instead (same floats, slower lookup).
-PRICE_RUN_WARM_STREAK = 64
-
-#: How many upcoming arrivals (per calendar lane) the vectorized core
-#: gathers when it batch-prices admission verdicts for the current
-#: fleet version. Rows are a cache keyed on the version — members not
-#: reached before the next router-visible state change are simply
-#: recomputed then — so the lookahead trades a little wasted pricing in
-#: admit-heavy stretches for one dense pass per storm segment.
-VERDICT_BATCH_LOOKAHEAD = 12
-
-
 @dataclass(frozen=True)
 class ReplicaReport:
     """Per-replica results of one cluster run.
@@ -195,7 +172,7 @@ class ClusterSummary:
             empty for stateless policies.
         probe_memo: Fleet-version verdict-memo counters from the
             vectorized core (probe_hits, probe_misses, hit_rate,
-            runs_coalesced, version_bumps); empty under the scalar core.
+            version_bumps); empty under the scalar core.
         tenants: Per-tenant reports keyed by tenant name, in trace
             arrival order (single-tenant runs report one ``default``
             entry).
@@ -302,11 +279,12 @@ class ClusterSimulator:
     admission probe walks the plain replica list through the per-replica
     reference projections. It is the oracle the
     :class:`VectorizedClusterSimulator` is pinned against, bit for bit.
-    Both cores drain the same :class:`~repro.serving.clock.EventCalendar`,
-    and every scalar run — colocated or disaggregated — as well as every
-    vectorized disaggregated run goes through one strict-horizon loop
-    (:meth:`_run_strict`); the cores differ there only in the fleet view
-    routing and admission probe (:attr:`fleet`).
+    Both cores, on every fleet topology, drain the same
+    :class:`~repro.serving.clock.EventCalendar` through one event loop
+    (:meth:`_run_strict`), and admission is always
+    :meth:`SLOAdmissionController.decide`. The cores differ there only in
+    the fleet view routing and admission probe (:attr:`fleet`) and, on
+    colocated sessionless fleets, in how far a step burst may run.
 
     Args:
         replicas: The fleet, in replica-id order.
@@ -468,15 +446,16 @@ class ClusterSimulator:
         return self._run_strict(requests)
 
     def _run_strict(self, requests: Sequence[Request]) -> ClusterSummary:
-        """The strict-horizon event loop, for every fleet topology.
+        """The event loop, for both cores and every fleet topology.
 
         One event per pop, and a replica's inline step burst ends before
-        *any* pending event, so nothing that could observe the fleet is
-        skipped — what disaggregated fleets need, where handoffs
-        interleave with arrivals. The cores differ here only in
+        the next event that could observe the fleet, so nothing a probe
+        would read is skipped. That horizon is every pending event, with
+        one refinement on a vectorized colocated sessionless fleet (see
+        the burst below). The cores otherwise differ only in
         :attr:`fleet`: a FleetState mirrors its replicas' counters, so
-        the loop marks it after each decode-pool enqueue and step; the
-        scalar core's replica list is read live.
+        the loop marks it after each enqueue and step burst on a replica
+        it covers; the scalar core's replica list is read live.
         """
         trace, stats, calendar = self._load_trace(requests)
         replicas = self.replicas
@@ -489,8 +468,11 @@ class ClusterSimulator:
         prefill_indices = self._prefill_indices
         prefill_pool = [replicas[index] for index in prefill_indices]
         mirrored = isinstance(fleet, FleetState)
+        # Replica index -> FleetState lane, for the replicas the fleet
+        # view covers (the decode pool when disaggregated).
+        covered = decode_indices if disaggregated else range(len(replicas))
         fleet_slot = (
-            {index: local for local, index in enumerate(decode_indices)}
+            {index: local for local, index in enumerate(covered)}
             if mirrored
             else {}
         )
@@ -502,14 +484,29 @@ class ClusterSimulator:
             )
         else:
             probe_view = fleet
+        # The burst horizon. Strict: every pending event. On a vectorized
+        # colocated sessionless fleet a foreign STEP_DONE touches only its
+        # own replica (it spawns no follow-up arrival and ships no KV
+        # handoff), so a frozen replica's burst may pass it and stops at
+        # the next interaction event instead; the scalar oracle keeps
+        # the strict horizon.
+        relaxed = (
+            mirrored
+            and not disaggregated
+            and all(request.session_id is None for request in trace)
+        )
+        horizon_of = (
+            calendar.peek_interaction_time if relaxed else calendar.peek_time
+        )
 
-        # Inline macro-bursts below bypass the calendar, so its clock can
-        # stall before the true end of the run; the makespan is tracked
-        # by hand — last popped event time, or last inlined completion.
+        # Inline bursts bypass the calendar, and a relaxed burst can run
+        # past events popped later, so the makespan is the latest popped
+        # event time or inlined completion seen so far.
         makespan = 0.0
         while not calendar.empty:
             now, kind, payload = calendar.pop()
-            makespan = now
+            if now > makespan:
+                makespan = now
             if kind == ARRIVAL_CODE:
                 request = payload
                 if request.session_id is not None:
@@ -547,6 +544,9 @@ class ClusterSimulator:
                     self._session_holder[request.session_id] = index
                 replica = replicas[index]
                 replica.enqueue(request)
+                local = fleet_slot.get(index)
+                if local is not None:
+                    fleet.mark_dirty(local)
                 if replica.idle:
                     calendar.push(now, ADMIT_CODE, index)
             elif kind == KV_TRANSFER_CODE:
@@ -577,43 +577,58 @@ class ClusterSimulator:
                     if replica.outbound:
                         self._ship_transfers(replica, calendar, now)
                 # Inline step burst: while this replica's next completion
-                # strictly precedes every pending event, nothing can
-                # observe the fleet in between — run (and, when the batch
-                # is frozen, macro-compress) the steps back-to-back
-                # without a calendar round-trip per step. Events pushed
-                # from inside the burst keep the relative order the
-                # event-per-step loop would have given them, so ties
-                # still break identically. Completions inside the burst
-                # happen at their own times, not the stalled calendar
-                # clock — follow-ups and KV handoffs are stamped with the
-                # inline completion time, then the horizon is re-peeked.
-                peek = calendar.peek_time()
+                # strictly precedes the horizon, nothing can observe the
+                # fleet in between — run (and, when the batch is frozen,
+                # macro-compress) the steps back-to-back without a
+                # calendar round-trip per step. An event *at* the horizon
+                # holds an older sequence number than a fresh push, so it
+                # wins the tie. Events pushed from inside the burst keep
+                # the relative order the event-per-step loop would have
+                # given them. Completions inside the burst happen at their
+                # own times, not the stalled calendar clock — follow-ups
+                # and KV handoffs are stamped with the inline completion
+                # time, then the horizon is re-peeked.
+                horizon = horizon_of()
                 while done_at is not None and (
-                    peek is None or done_at < peek
+                    horizon is None or done_at < horizon
                 ):
-                    compressed = replica.compress_run(done_at, peek)
+                    compressed = replica.compress_run(done_at, horizon)
                     if compressed is not None:
-                        done_at, makespan = compressed
+                        done_at, watermark = compressed
+                        if watermark > makespan:
+                            makespan = watermark
                         continue
-                    makespan = done_at
-                    done_at = replica.on_step_done(makespan)
+                    step_at = done_at
+                    if step_at > makespan:
+                        makespan = step_at
+                    done_at = replica.on_step_done(step_at)
                     if replica.followups:
                         self._spawn_followups(replica, trace, stats, calendar)
-                        peek = calendar.peek_time()
+                        horizon = horizon_of()
                     if replica.outbound:
-                        self._ship_transfers(replica, calendar, makespan)
-                        peek = calendar.peek_time()
+                        self._ship_transfers(replica, calendar, step_at)
+                        horizon = horizon_of()
                 local = fleet_slot.get(payload)
                 if local is not None:
                     fleet.mark_dirty(local)
                 if done_at is not None:
                     calendar.push(done_at, STEP_DONE_CODE, payload)
 
+        router_cache = None
+        if mirrored and not disaggregated:
+            # A colocated FleetState prices decode steps from its own
+            # dense tables, not the router's cache: report those.
+            router_cache = (
+                dict(fleet.price_stats())
+                if router.price_cache is not None
+                else {}
+            )
         return self._summarize(
             trace,
             stats,
             makespan,
-            probe_memo=dict(fleet.memo_stats()) if mirrored else None,
+            router_cache,
+            dict(fleet.memo_stats()) if mirrored else None,
         )
 
     def _summarize(
@@ -626,12 +641,11 @@ class ClusterSimulator:
     ) -> ClusterSummary:
         """Fold the drained fleet into a :class:`ClusterSummary`.
 
-        Shared by the scalar and vectorized cores — the report
-        layer is identical; only the event loops differ. ``router_cache``
-        overrides the admission-price counters (the vectorized core
-        reports its dense-table statistics); ``None`` reads the router's
-        price cache. ``probe_memo`` carries the vectorized core's
-        fleet-version verdict-memo counters (empty otherwise).
+        ``router_cache`` overrides the admission-price counters (a
+        colocated vectorized fleet reports its dense-table statistics);
+        ``None`` reads the router's price cache. ``probe_memo`` carries
+        the vectorized core's fleet-version verdict-memo counters (empty
+        otherwise).
         """
         reports: List[ReplicaReport] = []
         for replica in self.replicas:
@@ -718,10 +732,11 @@ class VectorizedClusterSimulator(ClusterSimulator):
       where the per-arrival probes fan out (stage-2 routing, the
       PathProber's decode term); one FleetState over a mixed-role fleet
       would mix pool semantics in every probe.
-    * Colocated fleets run their own loop (:meth:`run`) that coalesces
-      arrival runs, inlines admission, and lets a replica's step burst
-      past foreign ``STEP_DONE`` events. Disaggregated fleets run the
-      shared strict loop, where those shortcuts do not hold.
+    * On a colocated sessionless fleet a replica's step burst may run
+      past foreign ``STEP_DONE`` events, up to the next interaction
+      event. Session and disaggregated fleets keep the strict horizon,
+      where a foreign completion can push a follow-up arrival or a KV
+      handoff.
 
     Replicas must be :class:`~repro.cluster.fleetstate.VectorReplica`
     instances (primitive slot-array step bookkeeping); the scenario
@@ -739,279 +754,14 @@ class VectorizedClusterSimulator(ClusterSimulator):
         self.fleet = FleetState(self.fleet)
 
     def run(self, requests: Sequence[Request]) -> ClusterSummary:
-        """Serve an arrival-stamped trace; returns the cluster summary."""
-        if self._disaggregated:
-            return self._run_strict(requests)
-        trace, stats, calendar = self._load_trace(requests)
+        """Serve an arrival-stamped trace; returns the cluster summary.
 
-        fleet = self.fleet
-        replicas = self.replicas
-        router = self.router
-        admission = self.admission
-        # Run prefetching only pays off when something consults the price
-        # tables (a price-aware router or an admission controller).
-        prefetch = router.price_cache is not None or admission is not None
-        # Inlined step bursts below bypass the calendar, so its clock can
-        # stall before the true end of the run; the makespan is tracked by
-        # hand — last popped event time, or the last inlined completion.
-        makespan = 0.0
-        # Bound-method locals: the drain loop below runs once per arrival
-        # — millions of times per trace — so every attribute walk it
-        # skips is wall-clock.
-        pop_arrival = calendar.pop_arrival
-        push_arrival_after = calendar.push_arrival_after
-        select = router.select
-
-        # The admission controller, inlined: one verdict-memo probe and a
-        # handful of plain dict/float ops per storm member, no
-        # method-call round trip through decide(). Mirrors
-        # SLOAdmissionController.decide branch for branch (the
-        # equivalence suite pins the outcomes).
-        inline_admission = admission is not None
-        if inline_admission:
-            probe_min = fleet.probe_min_completion
-            policies = admission.policies
-            defers_used = admission._defers_used
-            probe_batch = fleet.probe_min_batch
-            upcoming = calendar.upcoming_arrivals
-            # Version-keyed verdict rows: request_id -> projected best
-            # completion, batch-priced for the current fleet version.
-            # Batching only engages once a frozen segment proves itself
-            # long (segment_probes) — short admit-heavy segments would
-            # waste most of a lookahead batch, and their repeat lookups
-            # already answer from the per-request verdict memo.
-            batch_rows: Dict[int, float] = {}
-            batch_version = -1
-            probe_version = -1
-            segment_probes = 0
-            row_hits = 0
-            gated_tenants = {
-                tenant
-                for tenant, tenant_policy in policies.items()
-                if tenant_policy.action != "admit"
-            }
-        # Flat per-tenant admission counters, folded back into ``stats``
-        # after the loop: one small-dict update per deferral/rejection
-        # instead of a nested two-level lookup on the multi-million
-        # deferral storms the gated tenants generate.
-        deferral_counts = {tenant: 0 for tenant in stats}
-        rejected_counts = {tenant: 0 for tenant in stats}
-        replica_count = len(replicas)
-        price_cold = prefetch
-        warm_streak = 0
-        # Sessionless traces never spawn follow-up arrivals from a step
-        # completion, so a foreign STEP_DONE cannot schedule an
-        # interaction event inside another replica's macro run — the
-        # burst horizon relaxes from "every pending event" to "the next
-        # interaction event" (peek_interaction_time). Session traces
-        # keep the strict horizon.
-        sessions_active = any(
-            request.session_id is not None for request in trace
-        )
-        while not calendar.empty:
-            now, kind, payload = calendar.pop()
-            if now > makespan:
-                makespan = now
-            if kind == ARRIVAL_CODE:
-                # Arrival-run coalescing: when the presorted lane shows
-                # more arrivals before the next non-arrival event, warm
-                # the run's unseen price-table points in one dense pass,
-                # then drain the whole run here — deferred re-arrivals
-                # join it too — so back-to-back verdicts answer from the
-                # fleet-version memo without an event-loop round trip
-                # per member. Once the tables converge (a long streak of
-                # runs pricing nothing new), the warm-up pass is skipped.
-                if price_cold:
-                    run_ahead = calendar.peek_arrival_run(ARRIVAL_RUN_PEEK)
-                    if run_ahead:
-                        priced = fleet.price_run(
-                            [payload]
-                            + calendar.arrival_run_payloads(run_ahead)
-                        )
-                        if priced:
-                            warm_streak = 0
-                        else:
-                            warm_streak += 1
-                            if warm_streak >= PRICE_RUN_WARM_STREAK:
-                                price_cold = False
-                members = 0
-                while True:
-                    members += 1
-                    request = payload
-                    if request.session_id is not None:
-                        self._hint_prefix(request)
-                    admitted = True
-                    if inline_admission:
-                        deadline = request.deadline_s
-                        if deadline is not None:
-                            policy = policies.get(request.tenant)
-                            if policy is not None and policy.action != "admit":
-                                # Verdict rows survive while the fleet
-                                # version holds still (rejections and
-                                # deferrals never bump it); a missing or
-                                # stale row triggers one batch-priced pass
-                                # over the gated members coming up.
-                                version = fleet.version
-                                if version == batch_version:
-                                    projected = batch_rows.get(
-                                        request.request_id
-                                    )
-                                    if projected is not None:
-                                        row_hits += 1
-                                else:
-                                    projected = None
-                                if projected is None:
-                                    if version == probe_version:
-                                        segment_probes += 1
-                                    else:
-                                        probe_version = version
-                                        segment_probes = 1
-                                    mins = None
-                                    if segment_probes >= 4:
-                                        gated = [request]
-                                        for member in upcoming(
-                                            VERDICT_BATCH_LOOKAHEAD
-                                        ):
-                                            if (
-                                                member.deadline_s
-                                                is not None
-                                                and member.tenant
-                                                in gated_tenants
-                                            ):
-                                                gated.append(member)
-                                        if len(gated) > 1:
-                                            mins = probe_batch(gated)
-                                    if mins is None:
-                                        projected = probe_min(request)
-                                    else:
-                                        rows = mins.tolist()
-                                        batch_rows = {
-                                            member.request_id: rows[j]
-                                            for j, member in enumerate(
-                                                gated
-                                            )
-                                        }
-                                        batch_version = version
-                                        projected = rows[0]
-                                if now + projected > deadline:
-                                    admitted = False
-                                    if policy.action == "defer":
-                                        used = defers_used.get(
-                                            request.request_id, 0
-                                        )
-                                        if used < policy.max_defers:
-                                            defers_used[
-                                                request.request_id
-                                            ] = used + 1
-                                            deferral_counts[
-                                                request.tenant
-                                            ] += 1
-                                            push_arrival_after(
-                                                policy.defer_seconds,
-                                                request,
-                                            )
-                                        else:
-                                            request.state = (
-                                                RequestState.REJECTED
-                                            )
-                                            rejected_counts[
-                                                request.tenant
-                                            ] += 1
-                                    else:
-                                        request.state = (
-                                            RequestState.REJECTED
-                                        )
-                                        rejected_counts[
-                                            request.tenant
-                                        ] += 1
-                    if admitted:
-                        index = select(request, fleet, now)
-                        if not 0 <= index < replica_count:
-                            raise SimulationError(
-                                f"router {router.name!r} returned replica "
-                                f"{index} of {len(replicas)}"
-                            )
-                        if request.session_id is not None:
-                            self._session_holder[request.session_id] = index
-                        replica = replicas[index]
-                        replica.enqueue(request)
-                        fleet.mark_dirty(index)
-                        if replica.idle:
-                            calendar.push(now, ADMIT_CODE, index)
-                    nxt = pop_arrival()
-                    if nxt is None:
-                        break
-                    now, payload = nxt
-                    if now > makespan:
-                        makespan = now
-                if members > 1:
-                    fleet.runs_coalesced += 1
-            else:  # ADMIT_CODE / STEP_DONE_CODE
-                replica = replicas[payload]
-                if kind == ADMIT_CODE:
-                    done_at = replica.poke(now)
-                else:
-                    done_at = replica.on_step_done(now)
-                    if replica.followups:
-                        self._spawn_followups(
-                            replica, trace, stats, calendar
-                        )
-                # Inline step burst: while this replica's next completion
-                # strictly precedes every event that could observe it, no
-                # probe or admission can see the fleet in between — run
-                # the steps back-to-back without a heap round-trip per
-                # step. On a session trace the horizon is every pending
-                # event (strict peek: a foreign completion may push a
-                # follow-up arrival that must end the burst); on a
-                # sessionless trace foreign STEP_DONE events touch only
-                # their own replica, so the horizon relaxes to the next
-                # *interaction* event — in the post-arrival drain phase
-                # that is usually never, and whole request lifetimes run
-                # inline. Strictly: an event *at* the horizon holds an
-                # older sequence number than a fresh push, so it must win
-                # the tie and be processed first. Frozen batches
-                # macro-compress: compress_run executes the whole
-                # finish-free run up to the horizon in closed form and
-                # returns the new in-flight completion.
-                if sessions_active:
-                    horizon = calendar.peek_time()
-                else:
-                    horizon = calendar.peek_interaction_time()
-                while done_at is not None and (
-                    horizon is None or done_at < horizon
-                ):
-                    compressed = replica.compress_run(done_at, horizon)
-                    if compressed is not None:
-                        done_at, watermark = compressed
-                        if watermark > makespan:
-                            makespan = watermark
-                        continue
-                    if done_at > makespan:
-                        makespan = done_at
-                    done_at = replica.on_step_done(done_at)
-                    if replica.followups:
-                        self._spawn_followups(
-                            replica, trace, stats, calendar
-                        )
-                        horizon = calendar.peek_time()
-                fleet.mark_dirty(payload)
-                if done_at is not None:
-                    calendar.push(done_at, STEP_DONE_CODE, payload)
-
-        for tenant, count in deferral_counts.items():
-            stats[tenant]["deferrals"] += count
-        for tenant, count in rejected_counts.items():
-            stats[tenant]["rejected"] += count
-        if inline_admission:
-            fleet.probe_hits += row_hits
-        router_cache = (
-            dict(fleet.price_stats())
-            if self.router.price_cache is not None
-            else {}
-        )
-        return self._summarize(
-            trace, stats, makespan, router_cache, dict(fleet.memo_stats())
-        )
+        The same loop as the scalar core's (:meth:`_run_strict`). The
+        override stays so that code wrapping each simulator class's
+        ``run`` once (perfbench's run clock and tracer) still tells the
+        two cores apart.
+        """
+        return self._run_strict(requests)
 
 
 def _pool_reports(

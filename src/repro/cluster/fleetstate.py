@@ -629,15 +629,15 @@ class FleetState:
         self._probe_dirty: set = set()
         self._probe_sensitive: set = set()
         self._probe_input_len = -1
-        # Fleet version + verdict memos (the arrival-run coalescing
-        # layer): ``version`` advances on every router-visible state
-        # change (``mark_dirty``), and the memos below — whole-fleet step
-        # vectors, completion vectors, and routing orders keyed by the
-        # probe's plan-group key — are valid exactly while the version
-        # holds still. Back-to-back arrivals against an unchanged fleet
-        # (deferral storms above all) reuse the prior verdict in O(1)
-        # instead of re-pricing O(lanes); any admit or step event bumps
-        # the version and drops the memos wholesale.
+        # Fleet version + verdict memos: ``version`` advances on every
+        # router-visible state change (``mark_dirty``), and the memos
+        # below — whole-fleet step vectors, completion vectors, and
+        # routing orders keyed by the probe's plan-group key — are valid
+        # exactly while the version holds still. Back-to-back arrivals
+        # against an unchanged fleet (deferral storms above all) reuse
+        # the prior verdict in O(1) instead of re-pricing O(lanes); any
+        # admit or step event bumps the version and drops the memos
+        # wholesale.
         self.version = 0
         self._memo_version = 0
         self._steps_memo: Dict[int, np.ndarray] = {}
@@ -653,7 +653,6 @@ class FleetState:
         self._backlog_cache: Optional[np.ndarray] = None
         self.probe_hits = 0
         self.probe_misses = 0
-        self.runs_coalesced = 0
         self._homogeneous = (
             len(self._groups) == 1 and self._groups[0].indices is None
         )
@@ -1190,7 +1189,7 @@ class FleetState:
         np.multiply(own, per_iteration, out=own)
         return own.tolist()
 
-    # -- version-keyed verdict memos (arrival-run coalescing) --------------
+    # -- version-keyed verdict memos -----------------------------------
 
     #: Residency bound on each verdict memo. Distinct keys per version
     #: are naturally few (a handful of input-length buckets); the cap is
@@ -1273,19 +1272,22 @@ class FleetState:
     ) -> Optional[np.ndarray]:
         """Best projected completions for a slice of arrivals, one pass.
 
-        The arrival-run coalescing fast path: every member is priced
-        against the *current* fleet version, whose projections differ
-        across members only through ``output_len`` when no lane is
-        input-sensitive. One ``(members, replicas)`` broadcast of the
-        completion arithmetic — the same elementwise op sequence as
+        Every member is priced against the *current* fleet version,
+        whose projections differ across members only through
+        ``output_len`` when no lane is input-sensitive. One
+        ``(members, replicas)`` broadcast of the completion arithmetic —
+        the same elementwise op sequence as
         :meth:`probe_completions`, so row ``j`` is bit-identical to the
         scalar probe for member ``j`` — prices the whole slice; the
         row-wise minimum is exactly what :meth:`probe_min_completion`
         would return member by member. Returns ``None`` when members'
         step vectors could differ (input-sensitive lanes, heterogeneous
         fleet); callers fall back to the per-member probe. Counts one
-        query (the shared step-vector lookup) per call — the caller
-        counts a hit for each *additional* row it later serves.
+        query (the shared step-vector lookup) per call.
+
+        No event loop calls it (admission always probes member by
+        member through ``SLOAdmissionController.decide``); it stays
+        while ``perfbench/tracer.py`` wraps it by name.
         """
         self._sync_memo()
         if self._steps_memo and (
@@ -1460,6 +1462,10 @@ class FleetState:
         admit between members only changes *which* keys later members
         look up, and those recompute through the incremental lane
         refresh). Returns the number of newly priced operating points.
+
+        No event loop calls it (probes price missing points through the
+        incremental lane refresh, to the same floats); it stays while
+        ``perfbench/tracer.py`` wraps it by name.
         """
         self._flush()
         groups = self._groups
@@ -1559,18 +1565,15 @@ class FleetState:
         ``probe_hits`` / ``probe_misses`` count *queries* — admission
         probes and routing verdicts — exactly once each: a miss is a
         query that recomputed the whole-fleet probe vector, a hit is one
-        answered from the version-keyed memos (a cached verdict, a
-        batch-priced row, or a verdict assembled from the memoized probe
-        vector and segment factors). ``runs_coalesced`` counts
-        multi-arrival runs the simulator drained in one slice;
-        ``version_bumps`` is the fleet version itself — one bump per
-        router-visible state change.
+        answered from the version-keyed memos (a cached verdict, or a
+        verdict assembled from the memoized probe vector and segment
+        factors). ``version_bumps`` is the fleet version itself — one
+        bump per router-visible state change.
         """
         total = self.probe_hits + self.probe_misses
         return {
             "probe_hits": self.probe_hits,
             "probe_misses": self.probe_misses,
             "hit_rate": self.probe_hits / total if total else 0.0,
-            "runs_coalesced": self.runs_coalesced,
             "version_bumps": self.version,
         }

@@ -379,7 +379,9 @@ class EventCalendar:
     def peek_interaction_time(self) -> Optional[float]:
         """Earliest pending event that is not a ``STEP_DONE`` (or None).
 
-        The macro-stepping horizon for a sessionless trace: a replica's
+        The step-burst horizon of a vectorized colocated fleet on a
+        sessionless trace (the scalar oracle, session traces and
+        disaggregated fleets burst to :meth:`peek_time`): a replica's
         own step completions are invisible to every other actor (no
         probe, router, or admission controller runs between them), so a
         frozen replica may advance past *foreign* ``STEP_DONE`` events —
@@ -413,12 +415,15 @@ class EventCalendar:
     def next_is_arrival(self) -> bool:
         """Whether the next :meth:`pop` would return an ``ARRIVAL``.
 
-        Lets the simulator drain a *run* of back-to-back arrivals in one
-        inner loop (static-lane arrivals and deferred re-arrivals alike)
-        without a full event-loop round trip per member. Uses the exact
-        :meth:`pop` ordering: a static arrival wins any exact-timestamp
-        tie against the earliest dynamic event; deferral-lane entries are
-        always arrivals; otherwise the heap head's kind code decides.
+        Uses the exact :meth:`pop` ordering: a static arrival wins any
+        exact-timestamp tie against the earliest dynamic event;
+        deferral-lane entries are always arrivals; otherwise the heap
+        head's kind code decides.
+
+        Like :meth:`peek_arrival_run`, :meth:`arrival_run_payloads`,
+        :meth:`upcoming_arrivals` and :meth:`pop_arrival`, no event loop
+        calls it (the cluster loop pops one event at a time); these stay
+        while ``perfbench/tracer.py`` wraps them by name.
         """
         heap = self._heap
         if heap:
@@ -487,10 +492,10 @@ class EventCalendar:
 
         Up to ``limit`` payloads from the presorted static lane plus up
         to ``limit`` from each deferral lane, in no particular order.
-        This is a *prediction* feed for verdict pre-pricing, not a pop
-        contract: other events may interleave before any of these
-        arrive, so callers must key whatever they precompute on state
-        that such interleaving invalidates (the fleet version).
+        This is a *prediction* feed, not a pop contract: other events
+        may interleave before any of these arrive, so callers must key
+        whatever they precompute on state that such interleaving
+        invalidates (the fleet version).
         """
         cursor = self._cursor
         payloads = self._payloads[cursor : cursor + limit]
@@ -509,9 +514,8 @@ class EventCalendar:
         earliest pending event is an arrival (static lane, deferral
         lane, or a heap-scheduled re-arrival), and ``None`` without
         popping otherwise (including when the calendar is empty). Fuses
-        :meth:`next_is_arrival` + :meth:`pop` so the drain loop pays one
-        head race per storm member instead of two; the ordering rules
-        are exactly :meth:`pop`'s.
+        :meth:`next_is_arrival` + :meth:`pop` into one head race; the
+        ordering rules are exactly :meth:`pop`'s.
         """
         heap = self._heap
         if heap:

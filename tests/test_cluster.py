@@ -1,6 +1,7 @@
 """Tests for the multi-replica cluster layer (routing, replicas, events)."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -347,6 +348,11 @@ class TestAdmissionControl:
             TenantPolicy(defer_seconds=0.0)
         with pytest.raises(ConfigurationError):
             TenantPolicy(max_defers=-1)
+        # A non-finite backoff would re-arrive a deferred request at
+        # t=inf (or nan) and make the whole run's makespan non-finite.
+        for backoff in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match="defer_seconds"):
+                TenantPolicy(action="defer", defer_seconds=backoff)
 
 
 class TestReplica:

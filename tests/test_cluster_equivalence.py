@@ -19,7 +19,9 @@ import random
 from pathlib import Path
 
 import pytest
+from test_fleet_version_memo import _storm_scenario
 
+from repro.cluster.admission import SLOAdmissionController
 from repro.errors import ConfigurationError
 from repro.scenario import load_scenario
 from repro.scenario.spec import (
@@ -34,6 +36,7 @@ from repro.scenario.spec import (
     WorkloadSpec,
 )
 from repro.scenario.run import apply_core_mode, run_scenario
+from repro.serving.clock import EventCalendar
 
 
 def _scenario(
@@ -470,6 +473,82 @@ class TestDegenerateFleets:
                     assert report.deferrals == 2 * report.submitted
             aggregates[core] = aggregate_fields(result)
         assert aggregates["scalar"] == aggregates["vectorized"]
+
+
+def _loop_scenario(name: str) -> ScenarioSpec:
+    """The deferral storm, or one of the checked-in example scenarios."""
+    if name == "storm":
+        return _storm_scenario()
+    return load_scenario(str(MIXED_FLEET.with_name(f"{name}.json")))
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Wrap ``owner.name`` so every call bumps the returned one-item list."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestOneEventLoop:
+    """Both cores, on every fleet topology, run ``_run_strict``: pin the
+    two rules through which its behaviour depends on the fleet."""
+
+    @pytest.mark.parametrize(
+        "scenario", ["storm", "mixed_fleet", "disaggregated"]
+    )
+    def test_admission_decides_once_per_popped_arrival(
+        self, monkeypatch, scenario
+    ):
+        """Admission is always ``SLOAdmissionController.decide``: one
+        call per popped arrival (every submission plus every deferred
+        re-arrival), the same count on both cores."""
+        calls = _count_calls(monkeypatch, SLOAdmissionController, "decide")
+        decided = {}
+        for core in ("scalar", "vectorized"):
+            calls[0] = 0
+            result = run_scenario(
+                apply_core_mode(_loop_scenario(scenario), core)
+            )
+            tenants = result.summary.tenants.values()
+            assert calls[0] == sum(
+                report.submitted + report.deferrals for report in tenants
+            ), core
+            decided[core] = calls[0]
+        assert decided["scalar"] == decided["vectorized"] > 0
+
+    @pytest.mark.parametrize(
+        "scenario, core, relaxed",
+        [
+            ("storm", "vectorized", True),
+            ("mixed_fleet", "vectorized", True),
+            ("sessions", "vectorized", False),
+            ("disaggregated", "vectorized", False),
+            ("storm", "scalar", False),
+            ("mixed_fleet", "scalar", False),
+            ("sessions", "scalar", False),
+            ("disaggregated", "scalar", False),
+        ],
+    )
+    def test_relaxed_horizon_only_on_vectorized_colocated_sessionless(
+        self, monkeypatch, scenario, core, relaxed
+    ):
+        """Only a vectorized colocated sessionless fleet bursts to the
+        next interaction event; the scalar oracle, session traces and
+        disaggregated fleets keep the strict ``peek_time`` horizon."""
+        calls = _count_calls(
+            monkeypatch, EventCalendar, "peek_interaction_time"
+        )
+        run_scenario(apply_core_mode(_loop_scenario(scenario), core))
+        if relaxed:
+            assert calls[0] > 0
+        else:
+            assert calls[0] == 0
 
 
 def _many_tenant_spec(tenants: int = 5, requests: int = 12) -> ScenarioSpec:

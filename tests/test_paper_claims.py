@@ -2,8 +2,8 @@
 
 These are the reproduction's acceptance tests: each test corresponds to a
 specific claim in the paper and asserts the *shape* (who wins, direction,
-approximate magnitude) rather than the authors' absolute numbers, per
-EXPERIMENTS.md.
+approximate magnitude) rather than the authors' absolute numbers. The
+paper-vs-measured values and their gaps are tabled in ROADMAP.md item 6.
 """
 
 import pytest
