@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
@@ -75,8 +76,17 @@ class TenantPolicy:
                 "defer_seconds must be positive and finite, got "
                 f"{self.defer_seconds!r}"
             )
-        if self.max_defers < 0:
-            raise ConfigurationError("max_defers must be non-negative")
+        if (
+            isinstance(self.max_defers, bool)
+            or not isinstance(self.max_defers, numbers.Integral)
+            or self.max_defers < 0
+        ):
+            # An integral type rules out NaN, infinity (a request that
+            # defers forever never lets the run finish) and fractions.
+            raise ConfigurationError(
+                "max_defers must be a non-negative integer, got "
+                f"{self.max_defers!r}"
+            )
 
 
 class PathProber:

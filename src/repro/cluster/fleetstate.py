@@ -102,8 +102,12 @@ class VectorReplica(Replica):
       attributes, and :class:`Request` objects are only written when a
       request finishes.
     * Step pricing goes through a per-replica memo keyed by
-      ``(rlp, tlp, context key)`` in front of the shared step cache —
-      placement planning is a pure function of that key (see module
+      ``(fc target code, rlp, tlp, context key)`` in front of the shared
+      step cache. The context key is the bucketed mean in mean mode; in
+      per-request mode it is the bucketed context total on a serial
+      system (at bucket 1 the ``_active_context_sum`` counter, so no
+      per-step pass over the slots) and every slot's context on a
+      pipelined one. A price is a pure function of that key (see module
       docstring), so the memo is exact.
     * The runtime monitor is fed the *count* of finished requests
       (:meth:`~repro.systems.base.ServingSystem.observe_finished`)
@@ -398,7 +402,11 @@ class VectorReplica(Replica):
         # ``price_mean_total``'s first move is exactly this arithmetic,
         # so every context sum collapsing to one mean shares one entry —
         # and the memo can be shared across a whole price group (see
-        # :meth:`FleetState._share_price_memos`).
+        # :meth:`FleetState._share_price_memos`). In per-request mode a
+        # serial step's price reads only the bucketed context total (see
+        # :class:`~repro.serving.engine.StepPricer`), which at bucket 1
+        # is the incremental counter itself; a pipelined step keys on
+        # every slot's context, because chunking reads each one.
         target = self.system.plan_fc_target(rlp, tlp)
         code = 0 if target is PlacementTarget.PU else 1
         if pricer.context_mode == "mean":
@@ -412,7 +420,13 @@ class VectorReplica(Replica):
                     memo.clear()
                 memo[key] = result
         else:
-            key = (code, rlp, tlp, tuple(self._slot_context))
+            if not self.system.is_serial(rlp):
+                context = tuple(self._slot_context)
+            elif pricer.context_bucket <= 1:
+                context = self._active_context_sum
+            else:
+                context = pricer.context_total(self._slot_context)
+            key = (code, rlp, tlp, context)
             memo = self._price_memo
             result = memo.get(key)
             if result is None:

@@ -244,9 +244,36 @@ def attention_cost_batch(
             raise ConfigurationError(
                 f"context_len must be positive, got {context_len}"
             )
-    rlp = len(context_lens)
+    return attention_cost_total(
+        model, len(context_lens), tlp, sum(context_lens)
+    )
+
+
+def attention_cost_total(
+    model: ModelConfig, rlp: int, tlp: int, total_context: int
+) -> KernelCost:
+    """Multi-head attention of one layer from the batch's context total.
+
+    The one formula behind :func:`attention_cost_batch`: ``rlp`` requests
+    whose KV-cache lengths sum to ``total_context``. Because the cost is
+    linear in each request's context, how the total splits across the
+    batch cannot change it — which is what lets a serial step price key
+    on the total alone.
+
+    Args:
+        model: Model architecture.
+        rlp: Request-level parallelism (batch size).
+        tlp: Token-level parallelism (speculation length).
+        total_context: Sum of the active requests' KV-cache lengths.
+
+    Returns:
+        Aggregate attention cost over the whole batch for one layer.
+    """
     tokens = _validate(rlp, tlp)
-    total_context = sum(context_lens)
+    if total_context <= 0:
+        raise ConfigurationError(
+            f"total_context must be positive, got {total_context}"
+        )
     h = model.hidden_dim
     flops = 4.0 * tlp * total_context * h
     kv_bytes = float(2 * total_context * h * model.dtype_bytes)

@@ -198,24 +198,44 @@ def build_decode_step(
         attention = attention_cost(model, rlp, tlp, mean_context_len)
     else:
         attention = attention_cost_batch(model, tlp, context_lens)
-    invocations = (
+    qkv, projection, ffn = build_fc_invocations(model, rlp, tlp, moe)
+    return DecodeStep(
+        model=model,
+        rlp=rlp,
+        tlp=tlp,
+        mean_context_len=mean_context_len,
+        invocations=(
+            qkv,
+            KernelInvocation(KernelKind.ATTENTION, attention, layers),
+            projection,
+            ffn,
+        ),
+        context_lens=None if context_lens is None else tuple(context_lens),
+        moe=moe,
+    )
+
+
+def build_fc_invocations(
+    model: ModelConfig,
+    rlp: int,
+    tlp: int,
+    moe: Optional[MoEModelConfig] = None,
+) -> Tuple[KernelInvocation, KernelInvocation, KernelInvocation]:
+    """The context-free kernels of one decode step, in execution order.
+
+    QKV, projection and FFN (sparse when ``moe`` is given), each over all
+    layers: every kernel of :func:`build_decode_step` but attention. Their
+    cost reads only ``(model, rlp, tlp)``, never the KV context.
+    """
+    layers = model.num_layers
+    return (
         KernelInvocation(KernelKind.QKV, qkv_cost(model, rlp, tlp), layers),
-        KernelInvocation(KernelKind.ATTENTION, attention, layers),
         KernelInvocation(
             KernelKind.PROJECTION, projection_cost(model, rlp, tlp), layers
         ),
         KernelInvocation(
             KernelKind.FFN, step_ffn_cost(model, moe, rlp, tlp), layers
         ),
-    )
-    return DecodeStep(
-        model=model,
-        rlp=rlp,
-        tlp=tlp,
-        mean_context_len=mean_context_len,
-        invocations=invocations,
-        context_lens=None if context_lens is None else tuple(context_lens),
-        moe=moe,
     )
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import typing
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -639,6 +640,13 @@ class SLOSpec(SpecBase):
             )
         if self.defer_seconds <= 0:
             _fail(_join(path, "defer_seconds"), "must be positive")
+        if isinstance(self.max_defers, bool) or not isinstance(
+            self.max_defers, numbers.Integral
+        ):
+            _fail(
+                _join(path, "max_defers"),
+                f"expected an integer, got {self.max_defers!r}",
+            )
         if self.max_defers < 0:
             _fail(_join(path, "max_defers"), "must be non-negative")
 

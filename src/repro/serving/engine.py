@@ -9,11 +9,13 @@ iteration it
 1. asks the TLP policy for the speculation length (fixed in the paper's
    main experiments; dynamic policies model its references [28]/[38]) and
    notifies the system when it changes,
-2. builds the :class:`~repro.models.workload.DecodeStep` for the current
-   (RLP, TLP) and the active requests' contexts,
-3. asks the system to price it (the system consults its scheduler),
-4. samples per-request accepted tokens (speculative decoding),
-5. gathers the output-token vector — ``EOS_TOKEN`` for requests that just
+2. prices the step at the current (RLP, TLP) over the active requests'
+   contexts, on the FC unit the system's scheduler plans
+   (:class:`StepPricer`: on a serial system a memoized context-free half
+   plus one attention kernel, bit-identical to the system's
+   ``execute_step`` of the full :class:`~repro.models.workload.DecodeStep`),
+3. samples per-request accepted tokens (speculative decoding),
+4. gathers the output-token vector — ``EOS_TOKEN`` for requests that just
    finished — and feeds it to the system's runtime monitor, exactly the
    token-level monitoring loop of Section 5.2.2.
 
@@ -37,14 +39,22 @@ Two pricing refinements sit behind engine knobs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
+from repro.core.placement import PlacementTarget
 from repro.errors import ConfigurationError, SimulationError
 from repro.models.config import ModelConfig
+from repro.models.kernels import (
+    KernelKind,
+    attention_cost,
+    attention_cost_total,
+)
 from repro.models.moe import MoEModelConfig
 from repro.models.workload import (
+    KernelInvocation,
     _validate_moe,
     build_decode_step,
+    build_fc_invocations,
     workload_name,
 )
 from repro.serving.metrics import DETAIL_MODES, RunSummary
@@ -52,7 +62,7 @@ from repro.serving.request import Request
 from repro.serving.speculative import SpeculationConfig
 from repro.serving.stepcache import StepCostCache
 from repro.serving.tlp_policy import TLPPolicy, TLPTrace
-from repro.systems.base import IterationResult, ServingSystem
+from repro.systems.base import IterationResult, ServingSystem, StepHalf
 
 #: Safety valve against runaway simulations.
 MAX_ITERATIONS = 1_000_000
@@ -68,6 +78,21 @@ class StepPricer:
     Encapsulates the context-accounting mode, optional context bucketing,
     and the optional step-cost cache. Every replica owns one, so static
     batches, traces and cluster runs share one pricing path.
+
+    On a serial system (:meth:`~repro.systems.base.ServingSystem.is_serial`)
+    a step's price is a context-free half plus one attention kernel
+    (:meth:`~repro.systems.base.ServingSystem.compose_step`). The pricer
+    memoizes the halves per ``(planned FC target, rlp, tlp)``, so a step
+    the cache misses costs one attention kernel. Attention is linear in
+    each request's context, so a serial per-request price depends on the
+    bucketed context total alone, and that total is the cache key's
+    context slot; pipelined steps keep the sorted context tuple, because
+    chunking reads each request's context. Every price equals
+    ``system.execute_step(build_decode_step(...))`` bit for bit. The half
+    memo has the step-cost cache's purity contract: a half is a pure
+    function of the system's configuration and its key, so a system
+    whose configuration changes needs a fresh pricer (each new replica
+    builds one).
 
     Attributes:
         system: The platform pricing the steps.
@@ -88,6 +113,9 @@ class StepPricer:
     context_bucket: int = 1
     step_cache: Optional[StepCostCache] = None
     moe: Optional[MoEModelConfig] = None
+    _halves: Dict[tuple, StepHalf] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.context_mode not in CONTEXT_MODES:
@@ -115,49 +143,43 @@ class StepPricer:
         # context grows past the bucket within a few iterations).
         return max(bucket, round(context_len / bucket) * bucket)
 
+    def context_total(self, context_lens: Sequence[int]) -> int:
+        """Sum of the bucketed context lengths: a serial step's
+        per-request context key."""
+        if self.context_bucket <= 1:
+            return sum(context_lens)
+        bucketize = self._bucketize
+        return sum([bucketize(context) for context in context_lens])
+
     def price(self, active: Sequence[Request], tlp: int) -> IterationResult:
         """Price one decoding iteration over the active requests."""
-        rlp = len(active)
-        if rlp == 0:
-            raise SimulationError("cannot price a step with no active requests")
-        context_lens: Optional[Tuple[int, ...]] = None
-        if self.context_mode == "mean":
-            # input_len + generated inline: context_len is a property and
-            # this sum runs once per decoding iteration over the batch.
-            total = sum([r.input_len + r.generated for r in active])
-            return self.price_mean_total(rlp, tlp, total)
-        bucketize = self._bucketize
-        context_lens = tuple(
-            sorted(bucketize(r.input_len + r.generated) for r in active)
+        # input_len + generated inline: context_len is a property and
+        # this runs once per decoding iteration over the batch.
+        return self.price_contexts(
+            [r.input_len + r.generated for r in active], tlp
         )
-        mean_context = max(1, round(sum(context_lens) / rlp))
-        context_key: object = context_lens
-        return self._price_resolved(rlp, tlp, mean_context, context_key, context_lens)
 
     def price_contexts(
         self, context_lens_raw: Sequence[int], tlp: int
     ) -> IterationResult:
         """Price one iteration from raw per-request context lengths.
 
-        The request-free twin of :meth:`price` for callers that track the
-        batch's contexts as plain integers (the vectorized cluster
-        replicas' slot state) instead of :class:`Request` objects.
-        Bit-identical to :meth:`price` over a batch with the same
-        contexts — the same bucketing, the same sorted context key, the
-        same mean arithmetic.
+        What :meth:`price` prices, for callers that track the batch's
+        contexts as plain integers (the vectorized cluster replicas'
+        slot state) instead of :class:`Request` objects.
         """
         rlp = len(context_lens_raw)
         if rlp == 0:
             raise SimulationError("cannot price a step with no active requests")
         if self.context_mode == "mean":
             return self.price_mean_total(rlp, tlp, sum(context_lens_raw))
+        if self.system.is_serial(rlp):
+            return self._price_resolved(
+                rlp, tlp, self.context_total(context_lens_raw)
+            )
         bucketize = self._bucketize
-        context_lens = tuple(
-            sorted(bucketize(context) for context in context_lens_raw)
-        )
-        mean_context = max(1, round(sum(context_lens) / rlp))
         return self._price_resolved(
-            rlp, tlp, mean_context, context_lens, context_lens
+            rlp, tlp, tuple(sorted([bucketize(c) for c in context_lens_raw]))
         )
 
     def price_mean_total(
@@ -178,7 +200,7 @@ class StepPricer:
         if rlp <= 0:
             raise SimulationError("cannot price a step with no active requests")
         mean_context = self._bucketize(max(1, round(context_total / rlp)))
-        return self._price_resolved(rlp, tlp, mean_context, mean_context, None)
+        return self._price_resolved(rlp, tlp, mean_context)
 
     def run_pricer(
         self, rlp: int, tlp: int
@@ -198,72 +220,107 @@ class StepPricer:
             raise SimulationError("run_pricer requires context_mode='mean'")
         if rlp <= 0:
             raise SimulationError("cannot price a step with no active requests")
-        model = self.model
-        moe = self.moe
-        system = self.system
         bucketize = self._bucketize
+        price_miss = self._price_miss
         cache = self.step_cache
         if cache is None:
 
             def price_uncached(raw_mean: int) -> IterationResult:
-                mean_context = bucketize(raw_mean)
-                step = build_decode_step(
-                    model, rlp, tlp, mean_context, context_lens=None, moe=moe
-                )
-                return system.execute_step(step)
+                return price_miss(None, rlp, tlp, bucketize(raw_mean))
 
             return price_uncached
         name = self.workload_name
-        fc_target = system.plan_fc_target(rlp, tlp)
-        entries = cache.scope_entries(system)
+        fc_target = self.system.plan_fc_target(rlp, tlp)
+        entries = cache.scope_entries(self.system)
         get_in = cache.get_in
         put_in = cache.put_in
 
         def price_mean(raw_mean: int) -> IterationResult:
             mean_context = bucketize(raw_mean)
-            key = (name, fc_target, rlp, tlp, mean_context)
+            key = (name, "mean", fc_target, rlp, tlp, mean_context)
             cached = get_in(entries, key)
             if cached is not None:
                 return cached
-            step = build_decode_step(
-                model, rlp, tlp, mean_context, context_lens=None, moe=moe
-            )
-            result = system.execute_step(step)
+            # A miss re-plans the target, exactly as execute_step would.
+            result = price_miss(None, rlp, tlp, mean_context)
             put_in(entries, key, result)
             return result
 
         return price_mean
 
     def _price_resolved(
-        self,
-        rlp: int,
-        tlp: int,
-        mean_context: int,
-        context_key: object,
-        context_lens: Optional[Tuple[int, ...]],
+        self, rlp: int, tlp: int, context: object
     ) -> IterationResult:
-        if self.step_cache is None:
-            step = build_decode_step(
-                self.model, rlp, tlp, mean_context,
-                context_lens=context_lens, moe=self.moe,
-            )
-            return self.system.execute_step(step)
+        """Price a step whose contexts are resolved to the key's slot.
 
+        ``context`` is the bucketed mean in mean mode; in per-request
+        mode it is the bucketed total on a serial step and the sorted
+        bucketed tuple on a pipelined one.
+        """
+        cache = self.step_cache
+        if cache is None:
+            return self._price_miss(None, rlp, tlp, context)
         # The workload name is part of the key: a cache (and a system) may
         # be shared by engines serving different models, and an MoE
-        # variant prices differently from its dense backbone.
+        # variant prices differently from its dense backbone. So is the
+        # context mode: a per-request total and a mean are both ints.
         fc_target = self.system.plan_fc_target(rlp, tlp)
-        key = (self.workload_name, fc_target, rlp, tlp, context_key)
-        cached = self.step_cache.get(self.system, key)
+        key = (
+            self.workload_name, self.context_mode, fc_target, rlp, tlp,
+            context,
+        )
+        cached = cache.get(self.system, key)
         if cached is not None:
             return cached
-        step = build_decode_step(
-            self.model, rlp, tlp, mean_context,
-            context_lens=context_lens, moe=self.moe,
-        )
-        result = self.system.execute_step(step)
-        self.step_cache.put(self.system, key, result)
+        result = self._price_miss(fc_target, rlp, tlp, context)
+        cache.put(self.system, key, result)
         return result
+
+    def _price_miss(
+        self,
+        fc_target: Optional[PlacementTarget],
+        rlp: int,
+        tlp: int,
+        context: object,
+    ) -> IterationResult:
+        """Price one step through the cost model (``fc_target`` is
+        planned here when ``None``; see :meth:`_price_resolved` for
+        ``context``)."""
+        system = self.system
+        model = self.model
+        if not system.is_serial(rlp):
+            if self.context_mode == "mean":
+                step = build_decode_step(
+                    model, rlp, tlp, context, moe=self.moe
+                )
+            else:
+                step = build_decode_step(
+                    model, rlp, tlp, max(1, round(sum(context) / rlp)),
+                    context_lens=context, moe=self.moe,
+                )
+            return system.execute_step(step)
+        if fc_target is None:
+            fc_target = system.plan_fc_target(rlp, tlp)
+        half = self._halves.get((fc_target, rlp, tlp))
+        if half is None:
+            half = system.step_half(
+                fc_target,
+                build_fc_invocations(model, rlp, tlp, self.moe),
+                model,
+                rlp,
+                tlp,
+            )
+            self._halves[(fc_target, rlp, tlp)] = half
+        if self.context_mode == "mean":
+            attention = attention_cost(model, rlp, tlp, context)
+        else:
+            attention = attention_cost_total(model, rlp, tlp, context)
+        return system.compose_step(
+            half,
+            KernelInvocation(
+                KernelKind.ATTENTION, attention, model.num_layers
+            ),
+        )
 
 
 @dataclass

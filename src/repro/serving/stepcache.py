@@ -1,15 +1,14 @@
 """LRU cache of priced decoding steps (the serving hot path).
 
-Pricing one decoding iteration walks the whole cost model: four kernel
-cost constructions, four device roofline evaluations, link transfer math
-and energy accounting. Design-space sweeps and long serving runs price
-*identical* steps thousands of times — same system, same (RLP, TLP), same
-(bucketed) context — so a small LRU in front of
-:meth:`~repro.systems.base.ServingSystem.execute_step` removes most of
-that work.
+Design-space sweeps and long serving runs price *identical* steps
+thousands of times — same system, same (RLP, TLP), same (bucketed)
+context — so a small LRU in front of the cost model removes most of that
+work. (A miss on a serial system is already cheap: the serving pricer
+memoizes each step's context-free half and prices one attention kernel;
+see :class:`~repro.serving.engine.StepPricer`.)
 
-Keys are ``(model_name, fc_target, rlp, tlp, context_key)`` scoped per
-system instance: :class:`~repro.systems.base.IterationResult` is frozen,
+Keys are ``(model_name, context_mode, fc_target, rlp, tlp,
+context_key)`` scoped per system instance: :class:`~repro.systems.base.IterationResult` is frozen,
 so a cached result can be shared safely, but prices are only valid for
 the exact system that produced them (device inventory, link, pipeline
 depth) and the model whose kernels were priced — a system instance may
@@ -17,8 +16,17 @@ serve several models over its lifetime.
 Systems are held via weak references so a cache shared across a sweep does
 not keep dead configurations alive. The planned FC target is part of the
 key, which keeps the cache exact for PAPI: a placement flip at the same
-(RLP, TLP) — impossible today, but cheap to guard — would miss instead of
-returning a stale price.
+(RLP, TLP) — PAPI's standing decision lags a TLP register write until the
+scheduler re-evaluates — misses instead of returning a stale price.
+
+The context key is no finer than the price reads. In mean mode it is the
+bucketed mean context. In per-request mode it is the bucketed context
+total on a serial system, whose attention cost is linear in each
+request's context, so every multiset with one total shares an entry; on
+a pipelined system (``pipeline_chunks > 1`` and ``rlp >=
+pipeline_chunks``) it is the sorted tuple of bucketed contexts, because
+chunking prices each request's context in its own sub-batch. The context
+mode is part of the key because a mean and a total are both integers.
 
 Context bucketing is the engine's job (see ``ServingEngine.context_bucket``);
 with bucket size 1 the cache is bit-exact with the uncached path.
@@ -34,8 +42,8 @@ from repro.errors import ConfigurationError
 from repro.systems.base import IterationResult, ServingSystem
 
 #: A fully resolved step-price key:
-#: (model_name, fc_target, rlp, tlp, context_key).
-StepKey = Tuple[str, Hashable, int, int, Hashable]
+#: (model_name, context_mode, fc_target, rlp, tlp, context_key).
+StepKey = Tuple[str, str, Hashable, int, int, Hashable]
 
 
 class SystemScopedCache:

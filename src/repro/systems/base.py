@@ -26,7 +26,12 @@ from repro.devices.base import ComputeDevice, KernelResult
 from repro.devices.interconnect import Link
 from repro.errors import CapacityError, ConfigurationError
 from repro.models.config import ModelConfig
-from repro.models.workload import DecodeStep, build_decode_step, prefill_cost
+from repro.models.workload import (
+    DecodeStep,
+    KernelInvocation,
+    build_decode_step,
+    prefill_cost,
+)
 from repro.units import us
 
 
@@ -72,6 +77,39 @@ class IterationResult:
     def __post_init__(self) -> None:
         if self.seconds < 0 or self.energy_joules < 0:
             raise ConfigurationError("iteration time/energy must be non-negative")
+
+
+@dataclass(frozen=True)
+class StepHalf:
+    """The context-free half of a serial decoding iteration's price.
+
+    Everything :meth:`ServingSystem.execute_step` charges a serial step
+    except its attention kernel: the QKV, projection and FFN kernels on
+    the planned FC unit, the attention link's transfer, and the idle
+    power the iteration's wall time is billed at. None of it reads the KV
+    context, so one half serves every step at the same ``(fc_target,
+    rlp, tlp)`` on one system and workload;
+    :meth:`ServingSystem.compose_step` adds the attention kernel.
+
+    Attributes:
+        fc_target: Where the FC kernels run.
+        rlp: Active requests of the step.
+        tlp: Speculation length of the step.
+        fc_seconds: FC kernel time over all layers.
+        fc_energy: FC kernel energy over all layers.
+        comm_seconds: Attention-link transfer time.
+        comm_energy: Attention-link transfer energy.
+        background_watts: :meth:`ServingSystem.background_power_watts`.
+    """
+
+    fc_target: PlacementTarget
+    rlp: int
+    tlp: int
+    fc_seconds: float
+    fc_energy: float
+    comm_seconds: float
+    comm_energy: float
+    background_watts: float
 
 
 class ServingSystem(abc.ABC):
@@ -253,7 +291,7 @@ class ServingSystem(abc.ABC):
 
     # -- execution -----------------------------------------------------------
 
-    def _communication(self, step: DecodeStep) -> tuple:
+    def _communication(self, model: ModelConfig, tokens: int) -> tuple:
         """Time and energy to ship attention I/O across the link.
 
         Per layer: Q vectors plus fresh K/V entries travel to the attention
@@ -261,20 +299,29 @@ class ServingSystem(abc.ABC):
         message (latency) per layer.
         """
         link = self.attention_link()
-        total_bytes = attention_io_bytes(step.model, step.rlp * step.tlp)
+        total_bytes = attention_io_bytes(model, tokens)
         seconds = link.transfer_time(
-            total_bytes, messages=2 * step.model.num_layers
+            total_bytes, messages=2 * model.num_layers
         )
         energy = link.transfer_energy(total_bytes)
         return seconds, energy
 
+    def is_serial(self, rlp: int) -> bool:
+        """True when a step of ``rlp`` requests runs serially.
+
+        A step is pipelined only when ``pipeline_chunks > 1`` and the
+        batch is large enough to split; otherwise its price is one
+        :class:`StepHalf` plus one attention kernel.
+        """
+        return not (self.pipeline_chunks > 1 and rlp >= self.pipeline_chunks)
+
     def execute_step(self, step: DecodeStep) -> IterationResult:
         """Price one decoding iteration on this system.
 
-        Dispatches to the pipelined path when ``pipeline_chunks > 1`` and
-        the batch is large enough to split.
+        Dispatches to the pipelined path when the step is not serial
+        (:meth:`is_serial`).
         """
-        if self.pipeline_chunks > 1 and step.rlp >= self.pipeline_chunks:
+        if not self.is_serial(step.rlp):
             return self._execute_step_pipelined(step, self.pipeline_chunks)
         return self._execute_step_serial(step)
 
@@ -294,48 +341,85 @@ class ServingSystem(abc.ABC):
         return _price_steps(self, grid)
 
     def _execute_step_serial(self, step: DecodeStep) -> IterationResult:
-        fc_target = self.plan_fc_target(step.rlp, step.tlp)
-        fc_device = self.fc_unit_for(fc_target)
-        attn_device = self.attention_unit()
+        half = self.step_half(
+            self.plan_fc_target(step.rlp, step.tlp),
+            step.fc_invocations,
+            step.model,
+            step.rlp,
+            step.tlp,
+        )
+        return self.compose_step(half, step.attention_invocation)
 
+    def step_half(
+        self,
+        fc_target: PlacementTarget,
+        fc_invocations: Sequence[KernelInvocation],
+        model: ModelConfig,
+        rlp: int,
+        tlp: int,
+    ) -> StepHalf:
+        """Price the context-free half of a serial step (see
+        :class:`StepHalf`): ``fc_invocations`` on ``fc_target``'s unit,
+        in order, plus the link transfer for ``rlp * tlp`` tokens."""
+        fc_device = self.fc_unit_for(fc_target)
         fc_seconds = 0.0
         fc_energy = 0.0
-        attn_seconds = 0.0
-        attn_energy = 0.0
-        for invocation in step.invocations:
+        for invocation in fc_invocations:
             layers = invocation.num_layers
-            if invocation.kind.is_fc:
-                result = fc_device.execute(invocation.per_layer)
-                fc_seconds += result.seconds * layers
-                fc_energy += result.energy_joules * layers
-            else:
-                result = attn_device.execute(invocation.per_layer)
-                attn_seconds += result.seconds * layers
-                attn_energy += result.energy_joules * layers
+            result = fc_device.execute(invocation.per_layer)
+            fc_seconds += result.seconds * layers
+            fc_energy += result.energy_joules * layers
+        comm_seconds, comm_energy = self._communication(model, rlp * tlp)
+        return StepHalf(
+            fc_target=fc_target,
+            rlp=rlp,
+            tlp=tlp,
+            fc_seconds=fc_seconds,
+            fc_energy=fc_energy,
+            comm_seconds=comm_seconds,
+            comm_energy=comm_energy,
+            background_watts=self.background_power_watts(),
+        )
 
-        comm_seconds, comm_energy = self._communication(step)
+    def compose_step(
+        self, half: StepHalf, attention: KernelInvocation
+    ) -> IterationResult:
+        """A serial step's price: ``half`` plus its attention kernel.
+
+        The one body every serial price goes through, whether the half
+        was just priced (:meth:`execute_step`) or memoized (the serving
+        pricer). Components are summed in the order fc, attention,
+        communication, other, so both routes round identically.
+        """
+        result = self.attention_unit().execute(attention.per_layer)
+        attn_seconds = result.seconds * attention.num_layers
+        attn_energy = result.energy_joules * attention.num_layers
         other_seconds = self.host_overhead_s
-        total_seconds = fc_seconds + attn_seconds + comm_seconds + other_seconds
-        background_energy = self.background_power_watts() * total_seconds
-        total_energy = fc_energy + attn_energy + comm_energy + background_energy
+        total_seconds = (
+            half.fc_seconds + attn_seconds + half.comm_seconds + other_seconds
+        )
+        background_energy = half.background_watts * total_seconds
+        total_energy = (
+            half.fc_energy + attn_energy + half.comm_energy + background_energy
+        )
         return IterationResult(
             seconds=total_seconds,
             energy_joules=total_energy,
             time_breakdown={
-                "fc": fc_seconds,
+                "fc": half.fc_seconds,
                 "attention": attn_seconds,
-                "communication": comm_seconds,
+                "communication": half.comm_seconds,
                 "other": other_seconds,
             },
             energy_breakdown={
-                "fc": fc_energy,
+                "fc": half.fc_energy,
                 "attention": attn_energy,
-                "communication": comm_energy,
+                "communication": half.comm_energy,
                 "other": background_energy,
             },
-            fc_target=fc_target,
-            rlp=step.rlp,
-            tlp=step.tlp,
+            fc_target=half.fc_target,
+            rlp=half.rlp,
+            tlp=half.tlp,
         )
 
     def _execute_step_pipelined(
@@ -399,7 +483,9 @@ class ServingSystem(abc.ABC):
                     result = attn_device.execute(invocation.per_layer)
                     chunk_attn += result.seconds * layers
                     attn_energy += result.energy_joules * layers
-            chunk_comm, chunk_comm_energy = self._communication(sub)
+            chunk_comm, chunk_comm_energy = self._communication(
+                sub.model, sub.rlp * sub.tlp
+            )
             fc_seconds += chunk_fc
             attn_seconds += chunk_attn
             comm_seconds += chunk_comm

@@ -353,6 +353,12 @@ class TestAdmissionControl:
         for backoff in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigurationError, match="defer_seconds"):
                 TenantPolicy(action="defer", defer_seconds=backoff)
+        # The retry budget must be an integer: an infinite one defers a
+        # hopeless request forever (the run never finishes), and 2.5
+        # silently allowed three deferrals.
+        for budget in (math.inf, math.nan, 2.5, True):
+            with pytest.raises(ConfigurationError, match="max_defers"):
+                TenantPolicy(action="defer", max_defers=budget)
 
 
 class TestReplica:

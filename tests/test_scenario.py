@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -166,6 +167,18 @@ class TestValidation:
         spec = ScenarioSpec.from_dict(mutation)
         with pytest.raises(ConfigurationError, match=path):
             spec.validate()
+
+    @pytest.mark.parametrize("budget", [2.5, True, math.inf, math.nan])
+    def test_max_defers_must_be_an_integer(self, budget):
+        # A spec built in Python skips the JSON decoder's type check.
+        slo = SLOSpec(p99_seconds=1.0, admission="defer", max_defers=budget)
+        spec = ScenarioSpec(tenants=(TenantSpec(slo=slo),))
+        with pytest.raises(
+            ConfigurationError, match=r"tenants\[0\].slo.max_defers"
+        ):
+            spec.validate()
+        with pytest.raises(ConfigurationError, match="slo.max_defers"):
+            slo.validate()
 
     def test_duplicate_tenant_names_rejected(self):
         spec = ScenarioSpec(
