@@ -254,16 +254,18 @@ def profile_phase_breakdown(requests: int) -> dict:
 def _macro_stepping_disabled():
     """Force the per-iteration path for a before/after phase breakdown.
 
-    Patches :meth:`Replica.compress_run` (the single macro entry point —
-    ``VectorReplica`` inherits it) to decline every attempt, so the same
-    trace replays through the reference per-iteration loop.
+    Patches :meth:`Replica.plan_run` (where every macro-run starts —
+    ``compress_run`` and the vectorized core's lazy lanes both plan
+    through it, and ``VectorReplica`` inherits it) to decline every
+    attempt, so the same trace replays through the reference
+    per-iteration loop.
     """
-    original = Replica.compress_run
-    Replica.compress_run = lambda self, now, horizon: None
+    original = Replica.plan_run
+    Replica.plan_run = lambda self, *args, **kwargs: None
     try:
         yield
     finally:
-        Replica.compress_run = original
+        Replica.plan_run = original
 
 
 #: Equivalence matrix: (router, admission action, MoE?, speculation).

@@ -722,7 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="per-replica continuous-batching slots")
     cluster.add_argument("--no-step-cache", dest="step_cache",
                          action="store_false",
-                         help="disable the shared step-cost cache")
+                         help="disable the shared step-cost cache "
+                              "(scalar core only)")
     cluster.add_argument("--model", default="llama-65b", help="model name")
     cluster.add_argument("--spec", type=int, default=2,
                          help="speculation length (TLP)")

@@ -10,7 +10,9 @@ The cluster simulator merges every replica's events on a single
 * ``ADMIT`` — the replica pulls waiting requests into its batch and
   schedules its next ``STEP_DONE``.
 * ``STEP_DONE`` — the replica completes one decoding iteration, refills
-  freed slots, and reschedules itself while it has work.
+  freed slots, and reschedules itself while it has work. On a vectorized
+  colocated sessionless fleet it may instead end a frozen run that went
+  lazy (see :class:`~repro.cluster.fleetstate.FleetState`).
 * ``KV_TRANSFER`` — (disaggregated fleets) a prefill replica's KV
   handoff lands and the router picks the decode replica that takes it.
 
@@ -32,7 +34,7 @@ from repro.cluster.admission import (
     PathProber,
     SLOAdmissionController,
 )
-from repro.cluster.fleetstate import FleetState
+from repro.cluster.fleetstate import FleetState, LazyRun
 from repro.cluster.interconnect import Interconnect
 from repro.cluster.replica import Replica
 from repro.cluster.router import Router
@@ -192,13 +194,18 @@ class ClusterSummary:
             prefix tokens served from cache, and follow-up-turn latency
             under ``followup_latency``); empty on session-free traces.
         step_macro: Macro-stepping counters summed across the fleet:
-            ``macro_steps`` (closed-form advances taken),
-            ``iterations_compressed`` (iterations they covered), and
+            ``macro_steps`` (closed-form advances committed),
+            ``iterations_compressed`` (iterations they covered),
+            ``lazy_runs`` (runs the vectorized core left uncommitted past
+            foreign events as lazy lanes), ``lazy_cuts`` (lazy lanes
+            committed early because routing sent their batch a request
+            it could admit, or a deferral would tie them), and
             ``fallback_<reason>`` counts for runs that stepped
-            per-iteration instead (``admittable``, ``finish_due``,
-            ``horizon``, ``iteration_cap``, plus the static
-            ``context_mode`` / ``tlp_policy`` / ``speculation_draws``
-            latches). Empty when no replica ever attempted one.
+            per-iteration instead (``admittable``,
+            ``finish_due``, ``horizon``, ``iteration_cap``, plus the
+            static ``context_mode`` / ``tlp_policy`` /
+            ``speculation_draws`` latches). Empty when no replica ever
+            attempted one.
     """
 
     router: str
@@ -451,8 +458,16 @@ class ClusterSimulator:
         One event per pop, and a replica's inline step burst ends before
         the next event that could observe the fleet, so nothing a probe
         would read is skipped. That horizon is every pending event, with
-        one refinement on a vectorized colocated sessionless fleet (see
-        the burst below). The cores otherwise differ only in
+        one refinement on a vectorized colocated sessionless fleet, where
+        a foreign ``STEP_DONE`` observes nothing: a per-iteration burst
+        stops only at the next interaction event, and a frozen batch's
+        closed-form run passes every event as a lazy lane of the
+        :class:`FleetState` — one calendar event at the run's end, its
+        completions shown to each arrival's probes as of the arrival
+        (:meth:`FleetState.advance`), and the lane committed early only
+        when routing sends it a request its batch has room for or a
+        deferral would tie it (:meth:`FleetState.route_to` /
+        :meth:`FleetState.cut_ties`). The cores otherwise differ only in
         :attr:`fleet`: a FleetState mirrors its replicas' counters, so
         the loop marks it after each enqueue and step burst on a replica
         it covers; the scalar core's replica list is read live.
@@ -484,12 +499,14 @@ class ClusterSimulator:
             )
         else:
             probe_view = fleet
-        # The burst horizon. Strict: every pending event. On a vectorized
-        # colocated sessionless fleet a foreign STEP_DONE touches only its
-        # own replica (it spawns no follow-up arrival and ships no KV
-        # handoff), so a frozen replica's burst may pass it and stops at
-        # the next interaction event instead; the scalar oracle keeps
-        # the strict horizon.
+        # Relaxed: on a vectorized colocated sessionless fleet a foreign
+        # STEP_DONE touches only its own replica (it spawns no follow-up
+        # arrival and ships no KV handoff). There a frozen replica's
+        # closed-form run passes every other event as a lazy lane of the
+        # FleetState, with one calendar event at the run's end, and a
+        # per-iteration burst stops at the next interaction event.
+        # Everywhere else, the scalar oracle included, a burst stops at
+        # the next pending event of any kind.
         relaxed = (
             mirrored
             and not disaggregated
@@ -498,6 +515,8 @@ class ClusterSimulator:
         horizon_of = (
             calendar.peek_interaction_time if relaxed else calendar.peek_time
         )
+        # Lanes whose next STEP_DONE a cut queued (relaxed fleets only).
+        resume = set()
 
         # Inline bursts bypass the calendar, and a relaxed burst can run
         # past events popped later, so the makespan is the latest popped
@@ -505,10 +524,23 @@ class ClusterSimulator:
         makespan = 0.0
         while not calendar.empty:
             now, kind, payload = calendar.pop()
+            if kind == STEP_DONE_CODE and payload.__class__ is LazyRun:
+                # A lazy run's event: the run commits and its next
+                # iteration steps below. Otherwise nothing is simulated
+                # here: a cut already committed the run (the event is
+                # stale), or only its first iterations were priced, and
+                # its event moves to the end of the whole run.
+                if not fleet.end_run(payload):
+                    if payload.live:
+                        calendar.push(payload.end, STEP_DONE_CODE, payload)
+                    continue
+                payload = payload.lane
             if now > makespan:
                 makespan = now
             if kind == ARRIVAL_CODE:
                 request = payload
+                if relaxed:
+                    fleet.advance(now)
                 if request.session_id is not None:
                     self._hint_prefix(request)
                 if admission is not None:
@@ -521,6 +553,12 @@ class ClusterSimulator:
                         continue
                     if decision is AdmissionDecision.DEFER:
                         stats[request.tenant]["deferrals"] += 1
+                        if relaxed:
+                            for lane, done_at in fleet.cut_ties(
+                                now, now + backoff
+                            ):
+                                calendar.push(done_at, STEP_DONE_CODE, lane)
+                                resume.add(lane)
                         calendar.push_arrival_after(backoff, request)
                         continue
                 if disaggregated:
@@ -542,6 +580,11 @@ class ClusterSimulator:
                         )
                 if request.session_id is not None:
                     self._session_holder[request.session_id] = index
+                if relaxed:
+                    done_at = fleet.route_to(index, now)
+                    if done_at is not None:
+                        calendar.push(done_at, STEP_DONE_CODE, index)
+                        resume.add(index)
                 replica = replicas[index]
                 replica.enqueue(request)
                 local = fleet_slot.get(index)
@@ -566,6 +609,40 @@ class ClusterSimulator:
                     fleet.mark_dirty(local)
                 if replica.idle:
                     calendar.push(now, ADMIT_CODE, index)
+            elif relaxed:  # ADMIT_CODE / STEP_DONE_CODE, lazy lanes
+                replica = replicas[payload]
+                if kind == ADMIT_CODE:
+                    done_at = replica.poke(now)
+                else:
+                    if payload in resume:
+                        # A cut queued this completion of a frozen batch:
+                        # plan its run from it. (Any other STEP_DONE was
+                        # queued after a declined plan, which an enqueue
+                        # cannot turn.)
+                        resume.discard(payload)
+                        run = fleet.plan_lazy(payload, now, True)
+                        if run is not None:
+                            fleet.mark_dirty(payload)
+                            calendar.push(run.end, STEP_DONE_CODE, run)
+                            continue
+                    done_at = replica.on_step_done(now)
+                # A frozen batch goes lazy from its iteration in flight;
+                # otherwise step inline up to the next interaction event.
+                horizon = horizon_of()
+                while done_at is not None:
+                    run = fleet.plan_lazy(payload, done_at, False)
+                    if run is not None:
+                        calendar.push(run.end, STEP_DONE_CODE, run)
+                        done_at = None
+                    elif horizon is None or done_at < horizon:
+                        if done_at > makespan:
+                            makespan = done_at
+                        done_at = replica.on_step_done(done_at)
+                    else:
+                        break
+                fleet.mark_dirty(payload)
+                if done_at is not None:
+                    calendar.push(done_at, STEP_DONE_CODE, payload)
             else:  # ADMIT_CODE / STEP_DONE_CODE
                 replica = replicas[payload]
                 if kind == ADMIT_CODE:
@@ -734,9 +811,12 @@ class VectorizedClusterSimulator(ClusterSimulator):
       would mix pool semantics in every probe.
     * On a colocated sessionless fleet a replica's step burst may run
       past foreign ``STEP_DONE`` events, up to the next interaction
-      event. Session and disaggregated fleets keep the strict horizon,
-      where a foreign completion can push a follow-up arrival or a KV
-      handoff.
+      event, and a frozen batch's closed-form run passes every event as
+      a lazy lane: the fleet view computes its counters where an
+      arrival's probe reads them, and cuts only a lane that routing
+      sends a request its batch can admit. Session and disaggregated
+      fleets keep the strict horizon, where a foreign completion can
+      push a follow-up arrival or a KV handoff.
 
     Replicas must be :class:`~repro.cluster.fleetstate.VectorReplica`
     instances (primitive slot-array step bookkeeping); the scenario

@@ -39,11 +39,13 @@ scheduler state between replicas can never alias.
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.replica import Replica
+from repro.cluster.replica import MACRO_MIN_RUN, Replica, RunPlan
 from repro.cluster.router import ADMISSION_CONTEXT_BUCKET
 from repro.core.placement import PlacementTarget
 from repro.errors import ConfigurationError, SimulationError
@@ -125,6 +127,7 @@ class VectorReplica(Replica):
         self._slot_context: List[int] = []
         self._slot_total: List[int] = []
         self._price_memo: Dict[tuple, object] = {}
+        self._run_memos: Dict[tuple, Dict[int, object]] = {}
         self._prefill_memo: Dict[tuple, object] = {}
         self._capacity_ok: set = set()
         self._draft_of: Dict[int, float] = {}
@@ -463,31 +466,70 @@ class VectorReplica(Replica):
 
         Keys match :meth:`_schedule_step`'s mean-mode discipline —
         ``(target code, rlp, tlp, raw mean)`` — so a macro-run and the
-        per-iteration path populate one shared (group-shareable) memo.
+        per-iteration path populate one shared (group-shareable) memo. In
+        front of it sits one table per ``(code, rlp, tlp)`` keyed by the
+        raw mean alone, so a run's segments resolve in one C-level pass
+        (a serial batch at bucket 1 prices every iteration separately).
         """
         price_mean = self.pricer.run_pricer(rlp, tlp)
         target = self.system.plan_fc_target(rlp, tlp)
         code = 0 if target is PlacementTarget.PU else 1
         memo = self._price_memo
+        table = self._run_memos.setdefault((code, rlp, tlp), {})
 
-        def price(raw_mean: int):
-            key = (code, rlp, tlp, raw_mean)
-            result = memo.get(key)
-            if result is None:
-                result = price_mean(raw_mean)
-                if len(memo) >= STEP_MEMO_ENTRIES:
-                    memo.clear()
-                memo[key] = result
-            return result
+        def price(means: List[int]) -> list:
+            try:
+                return list(map(table.__getitem__, means))
+            except KeyError:
+                pass
+            if len(table) >= STEP_MEMO_ENTRIES:
+                table.clear()
+            results = list(map(table.get, means))
+            for index, result in enumerate(results):
+                if result is None:
+                    raw_mean = means[index]
+                    key = (code, rlp, tlp, raw_mean)
+                    result = memo.get(key)
+                    if result is None:
+                        result = price_mean(raw_mean)
+                        if len(memo) >= STEP_MEMO_ENTRIES:
+                            memo.clear()
+                        memo[key] = result
+                    table[raw_mean] = result
+                    results[index] = result
+            return results
 
         return price
+
+
+class LazyRun:
+    """A lane's planned, uncommitted frozen run (see :class:`FleetState`).
+
+    The replica still holds its state from before the run (the run's
+    first iteration in flight); the fleet arrays show the run as of
+    ``shown`` completed iterations. The run has one calendar event, at
+    ``end``: the completion time of the iteration its priced part leaves
+    in flight. There the run commits whole, or — when only part of it is
+    priced yet — is priced further and its event moves on. The event
+    carries this record; once ``live`` drops (a cut committed the run
+    first) it is stale.
+    """
+
+    __slots__ = ("lane", "plan", "shown", "end", "live")
+
+    def __init__(self, lane: int, plan: RunPlan, shown: int) -> None:
+        self.lane = lane
+        self.plan = plan
+        self.shown = shown
+        self.end = plan.times[plan.cap]
+        self.live = True
 
 
 class _PriceGroup:
     """One interchangeable-pricing group of a fleet's replicas.
 
-    Replicas sharing a configuration-equal system and the same workload
-    price identically (the equality the shared price cache scopes by),
+    Replicas whose systems price alike serving the same workload price
+    identically (the equality the shared price cache scopes by),
     so one dense table of step prices — indexed ``[fc target, rlp, tlp,
     context bucket]``, ``NaN`` marking unpriced points — serves them
     all.
@@ -528,7 +570,7 @@ class FleetState:
     """Sequence view of the fleet plus flat arrays of its load counters.
 
     Drop-in wherever the cluster passes its replica list (routers index
-    and iterate it like a list), with three additions the vectorized hot
+    and iterate it like a list), with these additions the vectorized hot
     paths dispatch on:
 
     * :meth:`fleet_step_seconds` / :meth:`fleet_completion_seconds` —
@@ -541,6 +583,16 @@ class FleetState:
     * :meth:`mark_dirty` / ``_flush`` — the simulator marks a replica
       after handling its event; arrays refresh lazily at the next probe,
       so a burst of step events between two arrivals costs one refresh.
+    * Lazy lanes — :meth:`plan_lazy`, :meth:`advance`, :meth:`route_to`,
+      :meth:`cut`, :meth:`cut_ties`, :meth:`end_run`. On a colocated
+      sessionless fleet a frozen replica's planned run commits nothing
+      until it ends or is cut, and this view owns it: before an
+      arrival's probes it shows each lane as of the arrival (the
+      completions strictly before it), so routers and admission read
+      exactly the counters an event-per-step loop would have left. The
+      replica object itself lags until its run is committed; between
+      events only these arrays (and what a frozen run leaves unchanged:
+      queue lengths, TLP, scheduler placement) describe a lazy lane.
 
     The arrays mirror the replicas' incremental integer counters exactly
     — the probes compute the same integer/float arithmetic the scalar
@@ -607,6 +659,14 @@ class FleetState:
             if self._uniform_planner == PLAN_CONSTANT_FC
             else None
         )
+        # Lazy lanes: each lane's planned, uncommitted frozen run (None
+        # when its replica's counters are current), a heap of each run's
+        # next unshown completion, and a time-keyed index of those
+        # completions and of each run's end (for exact-tie cuts).
+        self._lazy: List[Optional[LazyRun]] = [None] * n
+        self._lazy_heap: List[Tuple[float, int, LazyRun]] = []
+        self._lazy_due: Dict[float, List[LazyRun]] = {}
+        self._lazy_seq = 0
         # Probe scratch buffers: a routing probe runs a fixed pipeline of
         # elementwise passes over n-lane arrays, and at fleet widths the
         # allocator — not the arithmetic — dominates a fresh-temporary
@@ -713,14 +773,23 @@ class FleetState:
         remaining_tokens = self.remaining_tokens
         current_tlp = self.current_tlp
         mirror = self._mirror_scheduler
+        lazy = self._lazy
         for index in dirty:
             replica = replicas[index]
             active_count[index] = len(replica.active)
             waiting_count[index] = len(replica.waiting)
-            active_context[index] = replica._active_context_sum
             waiting_context[index] = replica._waiting_context_sum
-            remaining_tokens[index] = replica._remaining_tokens
             current_tlp[index] = replica._current_tlp
+            run = lazy[index]
+            if run is None:
+                active_context[index] = replica._active_context_sum
+                remaining_tokens[index] = replica._remaining_tokens
+            else:
+                # The replica holds its counters from before the run; a
+                # frozen iteration moves both by the same token credit.
+                moved = run.plan.per_iteration * run.shown
+                active_context[index] = replica._active_context_sum + moved
+                remaining_tokens[index] = replica._remaining_tokens - moved
             if mirror:
                 scheduler = replica.system.scheduler
                 self._sched_rlp[index] = scheduler.rlp
@@ -735,14 +804,198 @@ class FleetState:
                 )
         dirty.clear()
 
+    # -- lazy lanes ----------------------------------------------------------
+    #
+    # On a colocated sessionless fleet a frozen replica's run commits
+    # nothing until it ends or the lane is cut. Between, the lane's
+    # counters are computed where a probe reads them: at an arrival at
+    # time t a lane shows exactly the completions strictly before t, the
+    # state an event-per-step loop would have left, because an arrival
+    # was queued before any completion of a run that is still lazy and so
+    # wins an exact tie. The one arrival queued later is a deferral, and
+    # :meth:`cut_ties` keeps its ties in order.
+
+    def plan_lazy(
+        self, lane: int, done_at: float, completed: bool
+    ) -> Optional[LazyRun]:
+        """Plan the lane's frozen run from its iteration in flight.
+
+        ``done_at`` is that iteration's completion time; ``completed``
+        says whether it already happened (a popped ``STEP_DONE``) rather
+        than lying ahead. Returns the lane's new lazy run — the caller
+        queues its event at ``run.end`` — or ``None`` when the batch is
+        not frozen (the replica then steps as usual).
+
+        A batch with a free slot changes as soon as routing sends it a
+        request, and what its run priced beyond that point is never
+        used; such a run prices its first :data:`MACRO_MIN_RUN`
+        iterations, and the rest only if it passes them uncut. A full
+        batch only queues what it is sent (:meth:`route_to`), so it
+        prices its whole run at once.
+        """
+        replica = self._replicas[lane]
+        upto = (
+            MACRO_MIN_RUN
+            if len(replica.active) < replica.max_batch_size
+            else None
+        )
+        plan = replica.plan_run(done_at, upto=upto)
+        if plan is None:
+            return None
+        run = LazyRun(lane, plan, 1 if completed else 0)
+        self._lazy[lane] = run
+        self._file(run.end, run)
+        self._queue(run)
+        counters = replica.step_macro
+        counters["lazy_runs"] = counters.get("lazy_runs", 0) + 1
+        return run
+
+    def advance(self, now: float) -> None:
+        """Show every lazy completion strictly before ``now``.
+
+        Called before an arrival's probes. Only lanes with a completion
+        before ``now`` move (the heap's head), each by a bisect on its
+        run's completion chain, and each is marked dirty so the probes
+        re-read it.
+        """
+        heap = self._lazy_heap
+        if not heap or heap[0][0] >= now:
+            return
+        while heap and heap[0][0] < now:
+            time_s, _, run = heapq.heappop(heap)
+            self._unfile(time_s, run)
+            if not run.live:
+                continue  # the run ended or was cut since
+            plan = run.plan
+            # The popped completion precedes now; count the rest.
+            run.shown = bisect_left(plan.times, now, run.shown + 1, plan.cap)
+            self.mark_dirty(run.lane)
+            self._queue(run)
+
+    def cut(self, lane: int, now: float) -> Optional[float]:
+        """Commit a lazy lane up to ``now`` and end its run.
+
+        The replica commits the completions the lane shows — through
+        ``compress_run`` on the run's plan, or per iteration when fewer
+        than :data:`MACRO_MIN_RUN` — so its own state is current again.
+        Returns the completion time of the iteration now in flight (the
+        caller queues its ``STEP_DONE``; the run's event goes stale), or
+        ``None`` when the lane was not lazy.
+        """
+        run = self._lazy[lane]
+        if run is None:
+            return None
+        self._lazy[lane] = None
+        run.live = False
+        replica = self._replicas[lane]
+        plan = run.plan
+        done_at = plan.start
+        if run.shown >= MACRO_MIN_RUN:
+            done_at, _ = replica.compress_run(done_at, now, plan)
+        else:
+            for _ in range(run.shown):
+                done_at = replica.on_step_done(done_at)
+        counters = replica.step_macro
+        counters["lazy_cuts"] = counters.get("lazy_cuts", 0) + 1
+        self.mark_dirty(lane)
+        return done_at
+
+    def route_to(self, lane: int, now: float) -> Optional[float]:
+        """Prepare a lazy lane for a request routed to it at ``now``.
+
+        A lane whose batch has a free slot is cut (:meth:`cut`): the
+        request joins at its next completion, which ends the frozen run.
+        A full batch only queues the request until its first slot
+        completes — where its run ends anyway — so the run stays valid
+        and lazy. Returns what :meth:`cut` returns, or ``None``.
+        """
+        run = self._lazy[lane]
+        if run is None:
+            return None
+        replica = self._replicas[lane]
+        if len(replica.active) >= replica.max_batch_size:
+            return None
+        return self.cut(lane, now)
+
+    def cut_ties(self, now: float, at: float) -> List[Tuple[int, float]]:
+        """Cut the lazy lanes that would tie a deferral pushed now for ``at``.
+
+        An event-per-step loop would already hold such a lane's next
+        completion in its queue, ahead of the deferral, so the completion
+        wins a tie at ``at``; and a run whose end falls at ``at`` but
+        which still has completions before it would have queued that
+        end only after the deferral. Cutting both kinds now queues each
+        lane's next ``STEP_DONE`` ahead of the deferral, as then. Returns
+        ``(lane, next completion)`` per cut lane.
+        """
+        entries = self._lazy_due.get(at)
+        if not entries:
+            return []
+        cuts = []
+        for run in list(entries):
+            if run.live:
+                cuts.append((run.lane, self.cut(run.lane, now)))
+        return cuts
+
+    def end_run(self, run: LazyRun) -> bool:
+        """Handle a lazy run's event; ``True`` when the run ended.
+
+        A wholly priced run commits, leaving the lane's replica with the
+        run's last iteration completing at the event's time, for the
+        caller to process. A run priced only in part is priced whole
+        instead: it stays live with a later ``end``, which the caller
+        queues again. A stale event (a cut committed the run) does
+        nothing.
+        """
+        self._unfile(run.end, run)
+        if not run.live:
+            return False
+        plan = run.plan
+        priced = plan.cap
+        if priced < plan.limit:
+            plan.extend(plan.limit)
+            run.end = plan.times[plan.cap]
+            self._file(run.end, run)
+            if run.shown == priced:
+                self._queue(run)  # the old event's completion is unshown
+            return False
+        run.live = False
+        self._lazy[run.lane] = None
+        self._replicas[run.lane].compress_run(plan.start, None, plan)
+        return True
+
+    def _queue(self, run: LazyRun) -> None:
+        """Index a lazy run's next unshown completion, when it lies
+        before the run's event (whose time is filed on its own)."""
+        plan = run.plan
+        if run.shown < plan.cap:
+            time_s = plan.times[run.shown]
+            self._lazy_seq += 1
+            heapq.heappush(self._lazy_heap, (time_s, self._lazy_seq, run))
+            self._file(time_s, run)
+
+    def _file(self, time_s: float, run: LazyRun) -> None:
+        entries = self._lazy_due.get(time_s)
+        if entries is None:
+            self._lazy_due[time_s] = [run]
+        else:
+            entries.append(run)
+
+    def _unfile(self, time_s: float, run: LazyRun) -> None:
+        entries = self._lazy_due[time_s]
+        entries.remove(run)
+        if not entries:
+            del self._lazy_due[time_s]
+
     # -- grouping ----------------------------------------------------------
 
     def _build_groups(self) -> List[_PriceGroup]:
         """Group replicas by interchangeable pricing.
 
-        Same criterion as the shared price cache's scopes —
-        configuration-equal system (type + dataclass equality) serving
-        the same workload — plus the pricer's context accounting knobs,
+        Same criterion as the shared price cache's scopes — systems that
+        price alike (:meth:`~repro.systems.base.ServingSystem.prices_like`)
+        serving the same workload — plus the pricer's context accounting
+        knobs,
         so group members can also share one step-price memo. A
         homogeneous fleet collapses to one group with ``indices=None``
         (the fast whole-array path).
@@ -751,13 +1004,12 @@ class FleetState:
         for index, replica in enumerate(self._replicas):
             for representative, indices in members:
                 if (
-                    type(representative.system) is type(replica.system)
-                    and representative._workload_name == replica._workload_name
+                    representative._workload_name == replica._workload_name
                     and representative.pricer.context_mode
                     == replica.pricer.context_mode
                     and representative.pricer.context_bucket
                     == replica.pricer.context_bucket
-                    and representative.system == replica.system
+                    and representative.system.prices_like(replica.system)
                 ):
                     indices.append(index)
                     break
@@ -789,12 +1041,14 @@ class FleetState:
                 else group.indices.tolist()
             )
             memo: Dict[tuple, object] = {}
+            run_memos: Dict[tuple, Dict[int, object]] = {}
             prefill_memo: Dict[tuple, object] = {}
             capacity_ok: set = set()
             for index in indices:
                 replica = self._replicas[index]
                 if isinstance(replica, VectorReplica):
                     replica._price_memo = memo
+                    replica._run_memos = run_memos
                     replica._prefill_memo = prefill_memo
                     replica._capacity_ok = capacity_ok
 
@@ -995,6 +1249,7 @@ class FleetState:
         bucket = ADMISSION_CONTEXT_BUCKET
         mirror = self._mirror_scheduler
         constant = self._constant_codes
+        lazy = self._lazy
         misses = 0
         for i in lanes:
             replica = replicas[i]
@@ -1006,6 +1261,9 @@ class FleetState:
                 rlp = max_batch
             slots = rlp - active
             total = replica._active_context_sum
+            run = lazy[i]
+            if run is not None:
+                total += run.plan.per_iteration * run.shown
             if slots > waiting_n:
                 total += replica._waiting_context_sum + input_len
                 sensitive.add(i)

@@ -30,6 +30,7 @@ every summary field but the makespan must match exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -69,6 +70,183 @@ MACRO_MAX_RUN = 16384
 #: than they save until runs reach tens of iterations, and short runs
 #: dominate (a slot finishes every ~mean_output/batch iterations).
 MACRO_SMALL_RUN = 64
+
+
+class RunPlan:
+    """A priced frozen run (see :meth:`Replica.plan_run`).
+
+    A run covers up to ``limit`` iterations; the first ``cap`` of them
+    are priced (:meth:`extend` prices more), and the run commits through
+    :meth:`Replica.compress_run`, whole or in pieces.
+
+    Attributes:
+        start: Completion time of the run's first iteration (the one in
+            flight when the run was planned).
+        limit: Iterations the run may cover: up to the first slot
+            completion, the iteration cap or :data:`MACRO_MAX_RUN`.
+        cap: Iterations priced so far; iteration ``cap + 1`` is left in
+            flight when all of them commit.
+        times: ``cap + 1`` completion times: ``times[i]`` is iteration
+            ``i + 1``'s, so ``times[0] == start`` and ``times[cap]`` is
+            the in-flight iteration's after a full commit.
+        per_iteration: Tokens the batch accepts per iteration (every
+            slot's deterministic credit); each iteration moves the
+            replica's remaining-token and active-context counters by it.
+        rlp / tlp / steady / draft: The frozen batch shape, per-slot
+            credit and draft overhead per iteration.
+        first / starts / counts / means / results: The in-flight
+            iteration's price, then each context segment's first price
+            index, length, raw mean context and price (price index ``j``
+            prices iteration ``j + 2``).
+    """
+
+    __slots__ = (
+        "start", "limit", "cap", "rlp", "tlp", "per_iteration", "steady",
+        "draft", "first", "total", "bucket", "price", "starts", "counts",
+        "means", "results", "times",
+    )
+
+    def __init__(
+        self, start, limit, rlp, tlp, per_iteration, steady, draft, first,
+        total, bucket, price,
+    ) -> None:
+        self.start = start
+        self.limit = limit
+        self.cap = 0
+        self.rlp = rlp
+        self.tlp = tlp
+        self.per_iteration = per_iteration
+        self.steady = steady
+        self.draft = draft
+        self.first = first
+        self.total = total  # context total entering the run
+        self.bucket = bucket
+        self.price = price
+        self.starts: List[int] = []
+        self.counts: List[int] = []
+        self.means: List[int] = []
+        self.results: List[IterationResult] = []
+        self.times: List[float] = [start]
+
+    def extend(self, cap: int) -> None:
+        """Price iterations up to ``cap + 1`` (``cap <= limit``).
+
+        The context total entering iteration ``i`` is ``total + (i - 1)
+        * per_iteration``; its raw and bucketized means replicate
+        ``price_mean_total``'s arithmetic exactly (``np.round`` is
+        round-half-even, bitwise equal to the builtin on these int-ratio
+        inputs, so the short-stretch scalar path and the long-stretch
+        vector path are interchangeable). A stretch whose first mean
+        equals the last priced one continues that segment, so a run
+        priced in pieces holds exactly the segments, prices and
+        completion times of one priced at once: the chain is one float
+        add per iteration, in order, as the event loop performs.
+        """
+        done = self.cap
+        if cap <= done:
+            return
+        rlp = self.rlp
+        per_iteration = self.per_iteration
+        bucket = self.bucket
+        starts = self.starts
+        counts = self.counts
+        means = self.means
+        opened = len(starts)
+        if means:
+            previous = means[-1]
+            if bucket > 1:
+                previous = max(bucket, round(previous / bucket) * bucket)
+        else:
+            previous = -1
+        small = cap - done <= MACRO_SMALL_RUN
+        if small:
+            # Scalar path: stretches are mostly a handful of iterations
+            # (completions recur every ~1/steady_output_fraction steps),
+            # where the vector pipeline's array setup costs more than it
+            # saves. Plain int/float arithmetic is the reference
+            # computation itself.
+            total = self.total + done * per_iteration
+            for index in range(done, cap):
+                total += per_iteration
+                raw_mean = round(total / rlp)
+                if raw_mean < 1:
+                    raw_mean = 1
+                if bucket <= 1:
+                    mean = raw_mean
+                else:
+                    mean = round(raw_mean / bucket) * bucket
+                    if mean < bucket:
+                        mean = bucket
+                if mean != previous:
+                    previous = mean
+                    starts.append(index)
+                    counts.append(1)
+                    means.append(raw_mean)
+                else:
+                    counts[-1] += 1
+        else:
+            totals = self.total + (
+                np.arange(done + 1, cap + 1, dtype=np.int64) * per_iteration
+            )
+            raw_means = np.maximum(np.round(totals / rlp), 1.0).astype(
+                np.int64
+            )
+            if bucket <= 1:
+                bucket_means = raw_means
+            else:
+                bucket_means = np.maximum(
+                    np.round(raw_means / bucket).astype(np.int64) * bucket,
+                    bucket,
+                )
+            changes = np.flatnonzero(bucket_means[1:] != bucket_means[:-1])
+            local = np.concatenate(([0], changes + 1))
+            local_counts = np.diff(
+                np.concatenate((local, [cap - done]))
+            ).tolist()
+            stretch_means = raw_means[local].tolist()
+            if int(bucket_means[0]) == previous:
+                counts[-1] += local_counts[0]
+                local = local[1:]
+                del local_counts[0], stretch_means[0]
+            starts.extend((local + done).tolist())
+            counts.extend(local_counts)
+            means.extend(stretch_means)
+        results = self.results
+        results.extend(self.price(means[opened:]))
+
+        # Completion times tau_{i+1} = tau_i + (draft + seconds_{i+1}),
+        # continued from the last priced one.
+        draft = self.draft
+        times = self.times
+        segment = bisect_right(starts, done) - 1
+        if small:
+            clock = times[-1]
+            index = done
+            while index < cap:
+                stop = starts[segment] + counts[segment]
+                step_duration = draft + results[segment].seconds
+                for _ in range(stop - index):
+                    clock = clock + step_duration
+                    times.append(clock)
+                index = stop
+                segment += 1
+        else:
+            durations = [
+                draft + result.seconds for result in results[segment:]
+            ]
+            chain = np.empty(cap - done + 1, dtype=np.float64)
+            chain[0] = times[-1]
+            if len(durations) == cap - done:
+                # One segment per iteration (the common shape at bucket
+                # 1) needs no repeat.
+                chain[1:] = durations
+            else:
+                lengths = counts[segment:]
+                lengths[0] -= done - starts[segment]
+                chain[1:] = np.repeat(durations, lengths)
+            np.add.accumulate(chain, out=chain)
+            times.extend(chain[1:].tolist())
+        self.cap = cap
 
 
 class Replica:
@@ -457,7 +635,10 @@ class Replica:
         return now + duration
 
     def compress_run(
-        self, now: float, horizon: Optional[float]
+        self,
+        now: float,
+        horizon: Optional[float],
+        plan: Optional[RunPlan] = None,
     ) -> Optional[Tuple[float, float]]:
         """Execute a frozen run of decoding iterations in closed form.
 
@@ -468,9 +649,15 @@ class Replica:
         TLP, deterministic per-slot acceptance — the run of iterations up
         to the first slot completion, the horizon, or the iteration cap
         is priced segment-by-segment (one lookup per context-bucket
-        crossing), timed with one sequential ``np.add.accumulate`` chain
-        (bit-identical to the per-iteration float adds), and folded into
-        every counter the per-iteration path would have touched.
+        crossing), timed with one sequential float chain (bit-identical
+        to the per-iteration float adds), and folded into every counter
+        the per-iteration path would have touched.
+
+        ``plan`` commits a run :meth:`plan_run` already priced from
+        ``now`` instead of pricing it again: the iterations that complete
+        strictly before ``horizon`` (all of them when ``horizon`` is
+        ``None``), so a lazy lane's run is priced once and committed in
+        pieces.
 
         Returns ``(next_done_at, last_completed_at)`` — the completion
         time of the newly scheduled (still in-flight) iteration and of
@@ -478,6 +665,46 @@ class Replica:
         watermark) — or ``None`` to fall back to per-iteration stepping
         (``step_macro`` records why). A ``None`` return mutates no
         simulation state; any pricing performed only warms caches.
+        """
+        if plan is None:
+            plan = self.plan_run(now, horizon)
+            if plan is None:
+                return None
+        cap = plan.cap
+        if horizon is None:
+            run = cap
+        else:
+            # Count completion candidates strictly before the horizon
+            # (the burst loop's done_at < peek test): times[1:] holds
+            # tau_2..tau_{cap+1}, plus the already-completed in-flight
+            # iteration at times[0].
+            run = bisect_left(plan.times, horizon, 1, cap + 1)
+            if run > cap:
+                run = cap
+            if run < MACRO_MIN_RUN:
+                counters = self.step_macro
+                counters["fallback_horizon"] = (
+                    counters.get("fallback_horizon", 0) + 1
+                )
+                return None
+        return self._commit_run(plan, run)
+
+    def plan_run(
+        self,
+        now: float,
+        horizon: Optional[float] = None,
+        upto: Optional[int] = None,
+    ) -> Optional[RunPlan]:
+        """Price the frozen run whose first iteration completes at ``now``.
+
+        The planning half of :meth:`compress_run`: the same eligibility
+        gates (each decline counted in ``step_macro``), then the run up
+        to the first slot completion, the iteration cap or
+        :data:`MACRO_MAX_RUN` — and, given a ``horizon``, no further
+        than it could reach — priced and timed; ``upto`` prices only
+        that many iterations, leaving the rest to
+        :meth:`RunPlan.extend`. Mutates no simulation state; commit the
+        result through ``compress_run(now, horizon, plan)``.
         """
         if self._macro_off:
             return None
@@ -530,7 +757,7 @@ class Replica:
             # Durations are nondecreasing in context, so the in-flight
             # iteration's duration lower-bounds the rest: at most
             # (horizon - now) / d1 more iterations can fit (+1 slack for
-            # the exact strict-inequality cut below).
+            # the exact strict-inequality cut in compress_run).
             first_duration = draft + result_first.seconds
             if first_duration <= 0.0:
                 counters["fallback_horizon"] = (
@@ -545,145 +772,30 @@ class Replica:
                 return None
             cap = min(cap, estimate)
         rlp = len(active)
-        per_iteration = rlp * steady
         pricer_key = (rlp, tlp)
         price = self._macro_pricer_cache.get(pricer_key)
         if price is None:
             price = self._macro_pricer(rlp, tlp)
             self._macro_pricer_cache[pricer_key] = price
+        plan = RunPlan(
+            now, cap, rlp, tlp, rlp * steady, steady, draft, result_first,
+            self._active_context_sum, self.pricer.context_bucket, price,
+        )
+        plan.extend(cap if upto is None else min(cap, upto))
+        return plan
 
-        # Price iterations 2..cap+1 (cap completion candidates plus the
-        # run's outgoing in-flight step). The context total entering
-        # iteration i is total_0 + (i-1) * per_iteration; its raw mean
-        # and bucketized mean replicate price_mean_total's arithmetic
-        # exactly (np.round is round-half-even, bitwise equal to the
-        # builtin on these int-ratio inputs, so the short-run scalar
-        # path below and the long-run vector path are interchangeable).
-        total_0 = self._active_context_sum
-        bucket = self.pricer.context_bucket
-        if cap <= MACRO_SMALL_RUN:
-            # Scalar path: typical runs are a handful of iterations
-            # (completions recur every ~1/steady_output_fraction steps),
-            # where the vector pipeline's array setup costs more than it
-            # saves. Plain int/float arithmetic is the reference
-            # computation itself.
-            seg_starts: List[int] = []
-            seg_counts: List[int] = []
-            segment_results: List[IterationResult] = []
-            times_list = [now]
-            clock = now
-            total = total_0
-            previous_mean = -1
-            step_duration = 0.0
-            for index in range(cap):
-                total += per_iteration
-                raw_mean = round(total / rlp)
-                if raw_mean < 1:
-                    raw_mean = 1
-                if bucket <= 1:
-                    mean = raw_mean
-                else:
-                    mean = round(raw_mean / bucket) * bucket
-                    if mean < bucket:
-                        mean = bucket
-                if mean != previous_mean:
-                    previous_mean = mean
-                    seg_starts.append(index)
-                    seg_counts.append(1)
-                    result = price(raw_mean)
-                    segment_results.append(result)
-                    step_duration = draft + result.seconds
-                else:
-                    seg_counts[-1] += 1
-                clock = clock + step_duration
-                times_list.append(clock)
-            if horizon is None:
-                run = cap
-            else:
-                # Count completion candidates strictly before the
-                # horizon (the burst loop's done_at < peek test), plus
-                # the already-completed in-flight iteration.
-                run = 1
-                for candidate in times_list[1:]:
-                    if candidate < horizon:
-                        run += 1
-                    else:
-                        break
-                if run > cap:
-                    run = cap
-                if run < MACRO_MIN_RUN:
-                    counters["fallback_horizon"] = (
-                        counters.get("fallback_horizon", 0) + 1
-                    )
-                    return None
-            segment_index = 0
-            for index, start in enumerate(seg_starts):
-                if start <= run - 1:
-                    segment_index = index
-                else:
-                    break
-            counts: Sequence[int] = seg_counts
-            done_at = times_list[run]
-            watermark = times_list[run - 1]
-        else:
-            totals = (
-                total_0
-                + np.arange(1, cap + 1, dtype=np.int64) * per_iteration
-            )
-            raw_means = np.maximum(np.round(totals / rlp), 1.0).astype(
-                np.int64
-            )
-            if bucket <= 1:
-                bucket_means = raw_means
-            else:
-                bucket_means = np.maximum(
-                    np.round(raw_means / bucket).astype(np.int64) * bucket,
-                    bucket,
-                )
-            boundaries = (
-                np.flatnonzero(bucket_means[1:] != bucket_means[:-1]) + 1
-            )
-            starts = np.concatenate(([0], boundaries))
-            counts = np.diff(np.concatenate((starts, [cap])))
-            segment_results = [price(int(raw_means[s])) for s in starts]
+    def _commit_run(self, plan: RunPlan, run: int) -> Tuple[float, float]:
+        """Commit the first ``run`` iterations of ``plan``.
 
-            # Completion times: tau_1 = now, tau_{i+1} = tau_i + (draft
-            # + seconds_{i+1}) — the same one-add-per-iteration chain
-            # the event loop performs, as one sequential accumulate.
-            segment_durations = np.array(
-                [draft + result.seconds for result in segment_results]
-            )
-            times = np.empty(cap + 1, dtype=np.float64)
-            times[0] = now
-            times[1:] = np.repeat(segment_durations, counts)
-            np.add.accumulate(times, out=times)
-            if horizon is None:
-                run = cap
-            else:
-                # times[1:] holds tau_2..tau_{cap+1}; count those
-                # strictly before the horizon.
-                run = 1 + int(
-                    np.searchsorted(times[1:], horizon, side="left")
-                )
-                if run > cap:
-                    run = cap
-                if run < MACRO_MIN_RUN:
-                    counters["fallback_horizon"] = (
-                        counters.get("fallback_horizon", 0) + 1
-                    )
-                    return None
-            # Iteration run+1 leaves in flight; its segment holds array
-            # index run-1 (index j prices iteration j+2).
-            segment_index = (
-                int(np.searchsorted(starts, run - 1, side="right")) - 1
-            )
-            done_at = float(times[run])
-            watermark = float(times[run - 1])
-
-        # Commit: replicate every side effect of `run` on_step_done +
-        # _schedule_step rounds. No request finishes, so the slot state
-        # advances uniformly and the monitor sees finish-free batches.
-        self._macro_advance_slots(steady * run)
+        Replicates every side effect of ``run`` on_step_done +
+        _schedule_step rounds. No request finishes, so the slot state
+        advances uniformly and the monitor sees finish-free batches.
+        """
+        rlp = plan.rlp
+        tlp = plan.tlp
+        per_iteration = plan.per_iteration
+        draft = plan.draft
+        self._macro_advance_slots(plan.steady * run)
         self._remaining_tokens -= per_iteration * run
         self._active_context_sum += per_iteration * run
         self._accepted_fraction = 1.0
@@ -714,14 +826,18 @@ class Replica:
 
         # Fold completed iterations 1..run: the in-flight result, then
         # the priced segments truncated to the run length.
-        fold_segments: List[Tuple[IterationResult, int]] = [(result_first, 1)]
-        needed = run - 1
-        for index, count in enumerate(counts):
-            if needed <= 0:
-                break
-            take = int(count) if count < needed else needed
-            fold_segments.append((segment_results[index], take))
-            needed -= take
+        segment_results = plan.results
+        starts = plan.starts
+        fold_segments: List[Tuple[IterationResult, int]] = [(plan.first, 1)]
+        if run > 1:
+            # Price index run-2 is the last completed iteration's.
+            last = bisect_right(starts, run - 2) - 1
+            fold_segments.extend(
+                zip(segment_results[:last], plan.counts[:last])
+            )
+            fold_segments.append(
+                (segment_results[last], run - 1 - starts[last])
+            )
         summary = self.summary
         if summary.detail == "full":
             records = summary.records
@@ -753,12 +869,18 @@ class Replica:
                 summary.draft_seconds = float(chain[-1])
         self.tlp_trace.values.extend([tlp] * run)
         self._iteration += run
-        self._pending = (segment_results[segment_index], tlp)
+        # Iteration run+1 leaves in flight; its segment holds price index
+        # run-1 (index j prices iteration j+2).
+        self._pending = (
+            segment_results[bisect_right(starts, run - 1) - 1], tlp
+        )
+        counters = self.step_macro
         counters["macro_steps"] = counters.get("macro_steps", 0) + 1
         counters["iterations_compressed"] = (
             counters.get("iterations_compressed", 0) + run
         )
-        return done_at, watermark
+        times = plan.times
+        return times[run], times[run - 1]
 
     def _macro_eligibility(self) -> Optional[str]:
         """Why this replica can never macro-step, or ``None`` if it can.
@@ -795,10 +917,12 @@ class Replica:
             request.generated += per_slot
 
     def _macro_pricer(self, rlp: int, tlp: int):
-        """Mean-mode pricing callable for one frozen run (see
+        """Mean-mode pricing of one frozen run's segments: a callable
+        from a list of raw mean contexts to their step prices (see
         :meth:`StepPricer.run_pricer`); slot-mirroring subclasses layer
         their per-replica memo on top."""
-        return self.pricer.run_pricer(rlp, tlp)
+        price = self.pricer.run_pricer(rlp, tlp)
+        return lambda means: [price(mean) for mean in means]
 
     def _prefill_done(self, now: float) -> Optional[float]:
         """A prefill-role batch reached first token; hand off or finish.

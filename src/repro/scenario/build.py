@@ -76,24 +76,28 @@ def _build_speculation(workload: WorkloadSpec) -> SpeculationConfig:
 def build_replicas(spec: ScenarioSpec) -> List[Replica]:
     """The fleet, replica ids assigned in group order.
 
-    The shared step-cost cache scopes entries by system *configuration*
-    (``share_equal_systems``): a homogeneous fleet prices each distinct
-    decoding step once for all replicas instead of once per replica.
-    Cached results are pure functions of the configuration and the step
-    key (which pins the FC placement), so outputs are unchanged.
-
     The core picks the replica class and its load accounting: the
     vectorized core's :class:`~repro.cluster.fleetstate.VectorReplica`
     keeps the incremental counters its fleet arrays mirror; the scalar
     oracle's plain :class:`~repro.cluster.replica.Replica` rescans its
     queues on every probe.
+
+    Scalar-core replicas share one step-cost cache scoped by system
+    *configuration* (``share_equal_systems``): a homogeneous fleet
+    prices each distinct decoding step once for all replicas instead of
+    once per replica. Cached results are pure functions of the
+    configuration and the step key (which pins the FC placement), so
+    outputs are unchanged. Vector replicas get none: each price group
+    already shares a step memo over the same keys, in front of where
+    the cache would sit, so the cache could only miss.
     """
+    vectorized = spec.fleet.core_mode == "vectorized"
     cache = (
         StepCostCache(share_equal_systems=True)
-        if spec.fleet.step_cache
+        if spec.fleet.step_cache and not vectorized
         else None
     )
-    if spec.fleet.core_mode == "vectorized":
+    if vectorized:
         replica_cls, load_accounting = VectorReplica, "incremental"
     else:
         replica_cls, load_accounting = Replica, "scan"

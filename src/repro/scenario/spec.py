@@ -382,7 +382,9 @@ class FleetSpec(SpecBase):
     Attributes:
         replicas: Replica groups; ids are assigned in group order, so the
             first group holds replicas ``0..count-1`` and so on.
-        step_cache: Share one step-cost cache across the fleet.
+        step_cache: Share one step-cost cache across the fleet. Only
+            the scalar core reads it: the vectorized core's price
+            groups memoize the same step keys in front of it.
         detail: Per-replica metric retention: ``full`` keeps one record
             per decoding iteration (RLP traces, per-iteration debugging);
             ``aggregate`` streams iterations into running totals so

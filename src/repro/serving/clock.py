@@ -379,15 +379,18 @@ class EventCalendar:
     def peek_interaction_time(self) -> Optional[float]:
         """Earliest pending event that is not a ``STEP_DONE`` (or None).
 
-        The step-burst horizon of a vectorized colocated fleet on a
-        sessionless trace (the scalar oracle, session traces and
-        disaggregated fleets burst to :meth:`peek_time`): a replica's
-        own step completions are invisible to every other actor (no
-        probe, router, or admission controller runs between them), so a
-        frozen replica may advance past *foreign* ``STEP_DONE`` events —
-        but never past the next event that observes or mutates shared
-        fleet state: an arrival (static lane, deferral lane, or dynamic
-        re-push), an ``ADMIT`` poke, or a ``KV_TRANSFER`` handoff.
+        The per-iteration step-burst horizon of a vectorized colocated
+        fleet on a sessionless trace (the scalar oracle, session traces
+        and disaggregated fleets burst to :meth:`peek_time`): a
+        replica's own step completions are invisible to every other
+        actor (no probe, router, or admission controller runs between
+        them), so a replica stepping inline may advance past *foreign*
+        ``STEP_DONE`` events — but never past the next event that
+        observes or mutates shared fleet state: an arrival (static lane,
+        deferral lane, or dynamic re-push), an ``ADMIT`` poke, or a
+        ``KV_TRANSFER`` handoff. (A frozen batch's closed-form run does
+        not stop here either: it becomes a lazy lane of the fleet view,
+        committed as of each arrival's time.)
         Dynamic pushes are mirrored into a side heap of bare
         timestamps, cleaned lazily as the clock passes them; an entry
         *at* ``now`` may already have popped, which only makes the

@@ -46,6 +46,14 @@ from repro.systems.base import IterationResult, ServingSystem
 StepKey = Tuple[str, str, Hashable, int, int, Hashable]
 
 
+def _prices_alike(rep, system) -> bool:
+    """Whether ``system`` may share ``rep``'s scope: ``prices_like`` for
+    serving systems, type and equality for any other scope object."""
+    if isinstance(rep, ServingSystem):
+        return rep.prices_like(system)
+    return type(rep) is type(system) and rep == system
+
+
 class SystemScopedCache:
     """Bounded LRU of values, scoped per system instance.
 
@@ -57,13 +65,15 @@ class SystemScopedCache:
     systems because the outer map is keyed by system identity.
 
     With ``share_equal_systems=True`` the scope is the system's
-    *configuration* rather than its identity: systems that compare equal
-    (dataclass ``__eq__`` over devices, links, and thresholds) share one
-    entry map. A fleet of 32 identical replicas then prices each distinct
-    operating point once for the whole fleet instead of once per replica —
-    safe because every cached value is a pure function of the system
-    configuration and the key (the planned FC placement is part of the
-    key, so divergent scheduler state between replicas can never alias).
+    *configuration* rather than its identity: systems that price alike
+    (:meth:`~repro.systems.base.ServingSystem.prices_like`: dataclass
+    ``__eq__`` over devices, links, and thresholds, plus the pipelining
+    depth) share one entry map. A fleet of 32 identical replicas then
+    prices each distinct operating point once for the whole fleet
+    instead of once per replica — safe because every cached value is a
+    pure function of the system configuration and the key (the planned
+    FC placement is part of the key, so divergent scheduler state
+    between replicas can never alias).
     Sharing snapshots equality when a system first touches the cache;
     callers that mutate a system's configuration afterwards (e.g.
     ``calibrate``) must use a fresh cache.
@@ -122,7 +132,7 @@ class SystemScopedCache:
             if rep is None:
                 continue  # prune dead representatives as a side effect
             live.append((ref, rep_scope))
-            if scope is None and type(rep) is type(system) and rep == system:
+            if scope is None and _prices_alike(rep, system):
                 scope = rep_scope
         self._scope_reps = live
         if scope is None:

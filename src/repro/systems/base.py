@@ -306,6 +306,22 @@ class ServingSystem(abc.ABC):
         energy = link.transfer_energy(total_bytes)
         return seconds, energy
 
+    def prices_like(self, other: "ServingSystem") -> bool:
+        """Whether ``other`` prices every step exactly as this system does.
+
+        Configuration equality — the same type and dataclass ``__eq__``
+        over devices, links and thresholds — plus :attr:`pipeline_chunks`,
+        a plain attribute outside the dataclass fields that changes the
+        price of every pipelined step. Shared price caches
+        (``share_equal_systems``) and the vectorized fleet's price groups
+        both scope by it.
+        """
+        return (
+            type(self) is type(other)
+            and self.pipeline_chunks == other.pipeline_chunks
+            and self == other
+        )
+
     def is_serial(self, rlp: int) -> bool:
         """True when a step of ``rlp`` requests runs serially.
 

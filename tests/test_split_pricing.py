@@ -16,6 +16,7 @@ import random
 import pytest
 
 from repro.cluster.fleetstate import FleetState, VectorReplica
+from repro.cluster.router import PriceCache
 from repro.core.placement import PlacementTarget
 from repro.models.config import get_model
 from repro.models.moe import MoEModelConfig
@@ -315,3 +316,59 @@ class TestVectorReplicaKeys:
             )
             prices.append(result.seconds)
         assert prices[0] != prices[1]
+
+
+class TestPipelinedTwinsStayApart:
+    """A chunked system compares equal to its serial twin as a dataclass
+    (``pipeline_chunks`` is a plain attribute), but prices differently;
+    neither a configuration-shared cache nor a price group may merge
+    them."""
+
+    def _twins(self):
+        serial, chunked = build_system("papi"), build_system("papi")
+        chunked.pipeline_chunks = 4
+        assert serial == chunked and not serial.prices_like(chunked)
+        return serial, chunked
+
+    @pytest.mark.parametrize("cache_cls", [StepCostCache, PriceCache])
+    def test_shared_cache_scopes_apart(self, cache_cls):
+        serial, chunked = self._twins()
+        cache = (
+            StepCostCache(share_equal_systems=True)
+            if cache_cls is StepCostCache
+            else PriceCache()
+        )
+        assert cache.scope_key(serial) != cache.scope_key(chunked)
+        assert cache.scope_key(build_system("papi")) == cache.scope_key(
+            serial
+        )
+
+    def test_shared_cache_prices_the_chunked_system_itself(self):
+        serial, chunked = self._twins()
+        cache = StepCostCache(share_equal_systems=True)
+        shared = {}
+        for system in (serial, chunked):
+            pricer = StepPricer(
+                system=system, model=DENSE, context_mode="mean",
+                step_cache=cache,
+            )
+            shared[system.pipeline_chunks] = pricer.price_mean_total(
+                8, 1, 8000
+            )
+        own = StepPricer(
+            system=self._twins()[1], model=DENSE, context_mode="mean"
+        ).price_mean_total(8, 1, 8000)
+        assert_same_price(shared[4], own)
+        assert shared[4].seconds != shared[1].seconds
+
+    def test_price_groups_split(self):
+        replicas = [
+            VectorReplica(
+                replica_id, system, DENSE, max_batch_size=8,
+                context_mode="mean", check_capacity=False,
+            )
+            for replica_id, system in enumerate(self._twins())
+        ]
+        fleet = FleetState(replicas)
+        assert len(fleet._groups) == 2
+        assert replicas[0]._price_memo is not replicas[1]._price_memo
