@@ -459,11 +459,12 @@ class ClusterSimulator:
         the next event that could observe the fleet, so nothing a probe
         would read is skipped. That horizon is every pending event, with
         one refinement on a vectorized colocated sessionless fleet, where
-        a foreign ``STEP_DONE`` observes nothing: a per-iteration burst
-        stops only at the next interaction event, and a frozen batch's
-        closed-form run passes every event as a lazy lane of the
-        :class:`FleetState` — one calendar event at the run's end, its
-        completions shown to each arrival's probes as of the arrival
+        a foreign ``STEP_DONE`` observes nothing: a burst stops only at
+        the next interaction event, committing a frozen batch's
+        closed-form run inline when it ends before that event, and a run
+        that passes it becomes a lazy lane of the :class:`FleetState` —
+        one calendar event at the run's end, its completions shown to
+        each arrival's probes as of the arrival
         (:meth:`FleetState.advance`), and the lane committed early only
         when routing sends it a request its batch has room for or a
         deferral would tie it (:meth:`FleetState.route_to` /
@@ -501,10 +502,10 @@ class ClusterSimulator:
             probe_view = fleet
         # Relaxed: on a vectorized colocated sessionless fleet a foreign
         # STEP_DONE touches only its own replica (it spawns no follow-up
-        # arrival and ships no KV handoff). There a frozen replica's
-        # closed-form run passes every other event as a lazy lane of the
-        # FleetState, with one calendar event at the run's end, and a
-        # per-iteration burst stops at the next interaction event.
+        # arrival and ships no KV handoff). There a burst stops at the
+        # next interaction event, and a frozen replica's closed-form run
+        # that passes it becomes a lazy lane of the FleetState, with one
+        # calendar event at the run's end.
         # Everywhere else, the scalar oracle included, a burst stops at
         # the next pending event of any kind.
         relaxed = (
@@ -515,8 +516,6 @@ class ClusterSimulator:
         horizon_of = (
             calendar.peek_interaction_time if relaxed else calendar.peek_time
         )
-        # Lanes whose next STEP_DONE a cut queued (relaxed fleets only).
-        resume = set()
 
         # Inline bursts bypass the calendar, and a relaxed burst can run
         # past events popped later, so the makespan is the latest popped
@@ -525,14 +524,10 @@ class ClusterSimulator:
         while not calendar.empty:
             now, kind, payload = calendar.pop()
             if kind == STEP_DONE_CODE and payload.__class__ is LazyRun:
-                # A lazy run's event: the run commits and its next
-                # iteration steps below. Otherwise nothing is simulated
-                # here: a cut already committed the run (the event is
-                # stale), or only its first iterations were priced, and
-                # its event moves to the end of the whole run.
+                # A lazy run's event: the run commits and its last
+                # iteration completes below, unless a cut committed the
+                # run first (the event is stale).
                 if not fleet.end_run(payload):
-                    if payload.live:
-                        calendar.push(payload.end, STEP_DONE_CODE, payload)
                     continue
                 payload = payload.lane
             if now > makespan:
@@ -558,7 +553,6 @@ class ClusterSimulator:
                                 now, now + backoff
                             ):
                                 calendar.push(done_at, STEP_DONE_CODE, lane)
-                                resume.add(lane)
                         calendar.push_arrival_after(backoff, request)
                         continue
                 if disaggregated:
@@ -584,7 +578,6 @@ class ClusterSimulator:
                     done_at = fleet.route_to(index, now)
                     if done_at is not None:
                         calendar.push(done_at, STEP_DONE_CODE, index)
-                        resume.add(index)
                 replica = replicas[index]
                 replica.enqueue(request)
                 local = fleet_slot.get(index)
@@ -614,32 +607,29 @@ class ClusterSimulator:
                 if kind == ADMIT_CODE:
                     done_at = replica.poke(now)
                 else:
-                    if payload in resume:
-                        # A cut queued this completion of a frozen batch:
-                        # plan its run from it. (Any other STEP_DONE was
-                        # queued after a declined plan, which an enqueue
-                        # cannot turn.)
-                        resume.discard(payload)
-                        run = fleet.plan_lazy(payload, now, True)
-                        if run is not None:
-                            fleet.mark_dirty(payload)
-                            calendar.push(run.end, STEP_DONE_CODE, run)
-                            continue
                     done_at = replica.on_step_done(now)
-                # A frozen batch goes lazy from its iteration in flight;
-                # otherwise step inline up to the next interaction event.
+                # Step inline up to the next interaction event, a frozen
+                # run that ends before it in closed form; a frozen run
+                # that passes it goes lazy, with one event at its end.
                 horizon = horizon_of()
                 while done_at is not None:
-                    run = fleet.plan_lazy(payload, done_at, False)
-                    if run is not None:
-                        calendar.push(run.end, STEP_DONE_CODE, run)
-                        done_at = None
-                    elif horizon is None or done_at < horizon:
+                    plan = replica.plan_run(done_at)
+                    if plan is None:
+                        if horizon is not None and done_at >= horizon:
+                            break
                         if done_at > makespan:
                             makespan = done_at
                         done_at = replica.on_step_done(done_at)
+                    elif horizon is None or plan.times[plan.cap] < horizon:
+                        done_at, watermark = replica.compress_run(
+                            done_at, None, plan
+                        )
+                        if watermark > makespan:
+                            makespan = watermark
                     else:
-                        break
+                        run = fleet.start_lazy(payload, plan)
+                        calendar.push(run.end, STEP_DONE_CODE, run)
+                        done_at = None
                 fleet.mark_dirty(payload)
                 if done_at is not None:
                     calendar.push(done_at, STEP_DONE_CODE, payload)
@@ -811,12 +801,12 @@ class VectorizedClusterSimulator(ClusterSimulator):
       would mix pool semantics in every probe.
     * On a colocated sessionless fleet a replica's step burst may run
       past foreign ``STEP_DONE`` events, up to the next interaction
-      event, and a frozen batch's closed-form run passes every event as
-      a lazy lane: the fleet view computes its counters where an
-      arrival's probe reads them, and cuts only a lane that routing
-      sends a request its batch can admit. Session and disaggregated
-      fleets keep the strict horizon, where a foreign completion can
-      push a follow-up arrival or a KV handoff.
+      event, and a frozen batch's closed-form run that passes that
+      event becomes a lazy lane: the fleet view computes its counters
+      where an arrival's probe reads them, and cuts only a lane that
+      routing sends a request its batch can admit. Session and
+      disaggregated fleets keep the strict horizon, where a foreign
+      completion can push a follow-up arrival or a KV handoff.
 
     Replicas must be :class:`~repro.cluster.fleetstate.VectorReplica`
     instances (primitive slot-array step bookkeeping); the scenario

@@ -127,7 +127,6 @@ class VectorReplica(Replica):
         self._slot_context: List[int] = []
         self._slot_total: List[int] = []
         self._price_memo: Dict[tuple, object] = {}
-        self._run_memos: Dict[tuple, Dict[int, object]] = {}
         self._prefill_memo: Dict[tuple, object] = {}
         self._capacity_ok: set = set()
         self._draft_of: Dict[int, float] = {}
@@ -466,63 +465,45 @@ class VectorReplica(Replica):
 
         Keys match :meth:`_schedule_step`'s mean-mode discipline —
         ``(target code, rlp, tlp, raw mean)`` — so a macro-run and the
-        per-iteration path populate one shared (group-shareable) memo. In
-        front of it sits one table per ``(code, rlp, tlp)`` keyed by the
-        raw mean alone, so a run's segments resolve in one C-level pass
-        (a serial batch at bucket 1 prices every iteration separately).
+        per-iteration path populate one shared (group-shareable) memo.
         """
         price_mean = self.pricer.run_pricer(rlp, tlp)
         target = self.system.plan_fc_target(rlp, tlp)
         code = 0 if target is PlacementTarget.PU else 1
         memo = self._price_memo
-        table = self._run_memos.setdefault((code, rlp, tlp), {})
 
-        def price(means: List[int]) -> list:
-            try:
-                return list(map(table.__getitem__, means))
-            except KeyError:
-                pass
-            if len(table) >= STEP_MEMO_ENTRIES:
-                table.clear()
-            results = list(map(table.get, means))
-            for index, result in enumerate(results):
-                if result is None:
-                    raw_mean = means[index]
-                    key = (code, rlp, tlp, raw_mean)
-                    result = memo.get(key)
-                    if result is None:
-                        result = price_mean(raw_mean)
-                        if len(memo) >= STEP_MEMO_ENTRIES:
-                            memo.clear()
-                        memo[key] = result
-                    table[raw_mean] = result
-                    results[index] = result
-            return results
+        def price(raw_mean: int):
+            key = (code, rlp, tlp, raw_mean)
+            result = memo.get(key)
+            if result is None:
+                result = price_mean(raw_mean)
+                if len(memo) >= STEP_MEMO_ENTRIES:
+                    memo.clear()
+                memo[key] = result
+            return result
 
         return price
 
 
 class LazyRun:
-    """A lane's planned, uncommitted frozen run (see :class:`FleetState`).
+    """A lane's priced, uncommitted frozen run (see :class:`FleetState`).
 
     The replica still holds its state from before the run (the run's
     first iteration in flight); the fleet arrays show the run as of
     ``shown`` completed iterations. The run has one calendar event, at
-    ``end``: the completion time of the iteration its priced part leaves
-    in flight. There the run commits whole, or — when only part of it is
-    priced yet — is priced further and its event moves on. The event
-    carries this record; once ``live`` drops (a cut committed the run
-    first) it is stale.
+    ``end`` (the completion time of the iteration the whole run leaves
+    in flight), which carries this record; there the run commits. Once
+    the run is committed — at its end, or by a cut first — ``plan``
+    drops to ``None`` and the record is stale.
     """
 
-    __slots__ = ("lane", "plan", "shown", "end", "live")
+    __slots__ = ("lane", "plan", "shown", "end")
 
-    def __init__(self, lane: int, plan: RunPlan, shown: int) -> None:
+    def __init__(self, lane: int, plan: RunPlan) -> None:
         self.lane = lane
-        self.plan = plan
-        self.shown = shown
+        self.plan: Optional[RunPlan] = plan
+        self.shown = 0
         self.end = plan.times[plan.cap]
-        self.live = True
 
 
 class _PriceGroup:
@@ -583,10 +564,11 @@ class FleetState:
     * :meth:`mark_dirty` / ``_flush`` — the simulator marks a replica
       after handling its event; arrays refresh lazily at the next probe,
       so a burst of step events between two arrivals costs one refresh.
-    * Lazy lanes — :meth:`plan_lazy`, :meth:`advance`, :meth:`route_to`,
-      :meth:`cut`, :meth:`cut_ties`, :meth:`end_run`. On a colocated
-      sessionless fleet a frozen replica's planned run commits nothing
-      until it ends or is cut, and this view owns it: before an
+    * Lazy lanes — :meth:`start_lazy`, :meth:`advance`,
+      :meth:`route_to`, :meth:`cut`, :meth:`cut_ties`, :meth:`end_run`.
+      On a colocated sessionless fleet a frozen replica's run that
+      passes the next interaction event commits nothing until it ends
+      or is cut, and this view owns it: before an
       arrival's probes it shows each lane as of the arrival (the
       completions strictly before it), so routers and admission read
       exactly the counters an event-per-step loop would have left. The
@@ -659,7 +641,7 @@ class FleetState:
             if self._uniform_planner == PLAN_CONSTANT_FC
             else None
         )
-        # Lazy lanes: each lane's planned, uncommitted frozen run (None
+        # Lazy lanes: each lane's priced, uncommitted frozen run (None
         # when its replica's counters are current), a heap of each run's
         # next unshown completion, and a time-keyed index of those
         # completions and of each run's end (for exact-tie cuts).
@@ -806,47 +788,25 @@ class FleetState:
 
     # -- lazy lanes ----------------------------------------------------------
     #
-    # On a colocated sessionless fleet a frozen replica's run commits
-    # nothing until it ends or the lane is cut. Between, the lane's
-    # counters are computed where a probe reads them: at an arrival at
-    # time t a lane shows exactly the completions strictly before t, the
-    # state an event-per-step loop would have left, because an arrival
-    # was queued before any completion of a run that is still lazy and so
-    # wins an exact tie. The one arrival queued later is a deferral, and
-    # :meth:`cut_ties` keeps its ties in order.
+    # On a colocated sessionless fleet a frozen replica's run that passes
+    # the next interaction event commits nothing until it ends or the
+    # lane is cut. Between, the lane's counters are computed where a
+    # probe reads them: at an arrival at time t a lane shows exactly the
+    # completions strictly before t, the state an event-per-step loop
+    # would have left, because an arrival was queued before any
+    # completion of a run that is still lazy and so wins an exact tie.
+    # The one arrival queued later is a deferral, and :meth:`cut_ties`
+    # keeps its ties in order.
 
-    def plan_lazy(
-        self, lane: int, done_at: float, completed: bool
-    ) -> Optional[LazyRun]:
-        """Plan the lane's frozen run from its iteration in flight.
-
-        ``done_at`` is that iteration's completion time; ``completed``
-        says whether it already happened (a popped ``STEP_DONE``) rather
-        than lying ahead. Returns the lane's new lazy run — the caller
-        queues its event at ``run.end`` — or ``None`` when the batch is
-        not frozen (the replica then steps as usual).
-
-        A batch with a free slot changes as soon as routing sends it a
-        request, and what its run priced beyond that point is never
-        used; such a run prices its first :data:`MACRO_MIN_RUN`
-        iterations, and the rest only if it passes them uncut. A full
-        batch only queues what it is sent (:meth:`route_to`), so it
-        prices its whole run at once.
-        """
-        replica = self._replicas[lane]
-        upto = (
-            MACRO_MIN_RUN
-            if len(replica.active) < replica.max_batch_size
-            else None
-        )
-        plan = replica.plan_run(done_at, upto=upto)
-        if plan is None:
-            return None
-        run = LazyRun(lane, plan, 1 if completed else 0)
+    def start_lazy(self, lane: int, plan: RunPlan) -> LazyRun:
+        """Leave the lane's frozen run ``plan`` (priced from its
+        iteration in flight) uncommitted; the caller queues the returned
+        run's event at ``run.end``."""
+        run = LazyRun(lane, plan)
         self._lazy[lane] = run
         self._file(run.end, run)
         self._queue(run)
-        counters = replica.step_macro
+        counters = self._replicas[lane].step_macro
         counters["lazy_runs"] = counters.get("lazy_runs", 0) + 1
         return run
 
@@ -864,9 +824,9 @@ class FleetState:
         while heap and heap[0][0] < now:
             time_s, _, run = heapq.heappop(heap)
             self._unfile(time_s, run)
-            if not run.live:
-                continue  # the run ended or was cut since
             plan = run.plan
+            if plan is None:
+                continue  # the run was committed since
             # The popped completion precedes now; count the rest.
             run.shown = bisect_left(plan.times, now, run.shown + 1, plan.cap)
             self.mark_dirty(run.lane)
@@ -886,9 +846,9 @@ class FleetState:
         if run is None:
             return None
         self._lazy[lane] = None
-        run.live = False
-        replica = self._replicas[lane]
         plan = run.plan
+        run.plan = None
+        replica = self._replicas[lane]
         done_at = plan.start
         if run.shown >= MACRO_MIN_RUN:
             done_at, _ = replica.compress_run(done_at, now, plan)
@@ -933,33 +893,23 @@ class FleetState:
             return []
         cuts = []
         for run in list(entries):
-            if run.live:
+            if run.plan is not None:
                 cuts.append((run.lane, self.cut(run.lane, now)))
         return cuts
 
     def end_run(self, run: LazyRun) -> bool:
-        """Handle a lazy run's event; ``True`` when the run ended.
+        """Handle a lazy run's event; ``False`` when it is stale (a cut
+        committed the run first).
 
-        A wholly priced run commits, leaving the lane's replica with the
-        run's last iteration completing at the event's time, for the
-        caller to process. A run priced only in part is priced whole
-        instead: it stays live with a later ``end``, which the caller
-        queues again. A stale event (a cut committed the run) does
-        nothing.
+        Otherwise the whole run commits, leaving the lane's replica with
+        the run's last iteration completing at the event's time, for the
+        caller to process.
         """
         self._unfile(run.end, run)
-        if not run.live:
-            return False
         plan = run.plan
-        priced = plan.cap
-        if priced < plan.limit:
-            plan.extend(plan.limit)
-            run.end = plan.times[plan.cap]
-            self._file(run.end, run)
-            if run.shown == priced:
-                self._queue(run)  # the old event's completion is unshown
+        if plan is None:
             return False
-        run.live = False
+        run.plan = None
         self._lazy[run.lane] = None
         self._replicas[run.lane].compress_run(plan.start, None, plan)
         return True
@@ -1041,14 +991,12 @@ class FleetState:
                 else group.indices.tolist()
             )
             memo: Dict[tuple, object] = {}
-            run_memos: Dict[tuple, Dict[int, object]] = {}
             prefill_memo: Dict[tuple, object] = {}
             capacity_ok: set = set()
             for index in indices:
                 replica = self._replicas[index]
                 if isinstance(replica, VectorReplica):
                     replica._price_memo = memo
-                    replica._run_memos = run_memos
                     replica._prefill_memo = prefill_memo
                     replica._capacity_ok = capacity_ok
 

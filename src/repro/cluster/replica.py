@@ -73,180 +73,49 @@ MACRO_SMALL_RUN = 64
 
 
 class RunPlan:
-    """A priced frozen run (see :meth:`Replica.plan_run`).
-
-    A run covers up to ``limit`` iterations; the first ``cap`` of them
-    are priced (:meth:`extend` prices more), and the run commits through
-    :meth:`Replica.compress_run`, whole or in pieces.
+    """A priced frozen run (see :meth:`Replica.plan_run`), committed
+    whole or in part through :meth:`Replica.compress_run`.
 
     Attributes:
         start: Completion time of the run's first iteration (the one in
             flight when the run was planned).
-        limit: Iterations the run may cover: up to the first slot
-            completion, the iteration cap or :data:`MACRO_MAX_RUN`.
-        cap: Iterations priced so far; iteration ``cap + 1`` is left in
-            flight when all of them commit.
+        cap: Iterations the run covers: up to the first slot completion,
+            the iteration cap or :data:`MACRO_MAX_RUN` (or the horizon
+            it was planned for).
         times: ``cap + 1`` completion times: ``times[i]`` is iteration
             ``i + 1``'s, so ``times[0] == start`` and ``times[cap]`` is
-            the in-flight iteration's after a full commit.
+            the in-flight iteration's after the whole run commits.
         per_iteration: Tokens the batch accepts per iteration (every
             slot's deterministic credit); each iteration moves the
             replica's remaining-token and active-context counters by it.
         rlp / tlp / steady / draft: The frozen batch shape, per-slot
             credit and draft overhead per iteration.
-        first / starts / counts / means / results: The in-flight
-            iteration's price, then each context segment's first price
-            index, length, raw mean context and price (price index ``j``
-            prices iteration ``j + 2``).
+        first / starts / counts / results: The in-flight iteration's
+            price, then each context segment's first price index, length
+            and price (price index ``j`` prices iteration ``j + 2``).
     """
 
     __slots__ = (
-        "start", "limit", "cap", "rlp", "tlp", "per_iteration", "steady",
-        "draft", "first", "total", "bucket", "price", "starts", "counts",
-        "means", "results", "times",
+        "start", "cap", "rlp", "tlp", "per_iteration", "steady", "draft",
+        "first", "starts", "counts", "results", "times",
     )
 
     def __init__(
-        self, start, limit, rlp, tlp, per_iteration, steady, draft, first,
-        total, bucket, price,
+        self, start, cap, rlp, tlp, per_iteration, steady, draft, first,
+        starts, counts, results, times,
     ) -> None:
         self.start = start
-        self.limit = limit
-        self.cap = 0
+        self.cap = cap
         self.rlp = rlp
         self.tlp = tlp
         self.per_iteration = per_iteration
         self.steady = steady
         self.draft = draft
         self.first = first
-        self.total = total  # context total entering the run
-        self.bucket = bucket
-        self.price = price
-        self.starts: List[int] = []
-        self.counts: List[int] = []
-        self.means: List[int] = []
-        self.results: List[IterationResult] = []
-        self.times: List[float] = [start]
-
-    def extend(self, cap: int) -> None:
-        """Price iterations up to ``cap + 1`` (``cap <= limit``).
-
-        The context total entering iteration ``i`` is ``total + (i - 1)
-        * per_iteration``; its raw and bucketized means replicate
-        ``price_mean_total``'s arithmetic exactly (``np.round`` is
-        round-half-even, bitwise equal to the builtin on these int-ratio
-        inputs, so the short-stretch scalar path and the long-stretch
-        vector path are interchangeable). A stretch whose first mean
-        equals the last priced one continues that segment, so a run
-        priced in pieces holds exactly the segments, prices and
-        completion times of one priced at once: the chain is one float
-        add per iteration, in order, as the event loop performs.
-        """
-        done = self.cap
-        if cap <= done:
-            return
-        rlp = self.rlp
-        per_iteration = self.per_iteration
-        bucket = self.bucket
-        starts = self.starts
-        counts = self.counts
-        means = self.means
-        opened = len(starts)
-        if means:
-            previous = means[-1]
-            if bucket > 1:
-                previous = max(bucket, round(previous / bucket) * bucket)
-        else:
-            previous = -1
-        small = cap - done <= MACRO_SMALL_RUN
-        if small:
-            # Scalar path: stretches are mostly a handful of iterations
-            # (completions recur every ~1/steady_output_fraction steps),
-            # where the vector pipeline's array setup costs more than it
-            # saves. Plain int/float arithmetic is the reference
-            # computation itself.
-            total = self.total + done * per_iteration
-            for index in range(done, cap):
-                total += per_iteration
-                raw_mean = round(total / rlp)
-                if raw_mean < 1:
-                    raw_mean = 1
-                if bucket <= 1:
-                    mean = raw_mean
-                else:
-                    mean = round(raw_mean / bucket) * bucket
-                    if mean < bucket:
-                        mean = bucket
-                if mean != previous:
-                    previous = mean
-                    starts.append(index)
-                    counts.append(1)
-                    means.append(raw_mean)
-                else:
-                    counts[-1] += 1
-        else:
-            totals = self.total + (
-                np.arange(done + 1, cap + 1, dtype=np.int64) * per_iteration
-            )
-            raw_means = np.maximum(np.round(totals / rlp), 1.0).astype(
-                np.int64
-            )
-            if bucket <= 1:
-                bucket_means = raw_means
-            else:
-                bucket_means = np.maximum(
-                    np.round(raw_means / bucket).astype(np.int64) * bucket,
-                    bucket,
-                )
-            changes = np.flatnonzero(bucket_means[1:] != bucket_means[:-1])
-            local = np.concatenate(([0], changes + 1))
-            local_counts = np.diff(
-                np.concatenate((local, [cap - done]))
-            ).tolist()
-            stretch_means = raw_means[local].tolist()
-            if int(bucket_means[0]) == previous:
-                counts[-1] += local_counts[0]
-                local = local[1:]
-                del local_counts[0], stretch_means[0]
-            starts.extend((local + done).tolist())
-            counts.extend(local_counts)
-            means.extend(stretch_means)
-        results = self.results
-        results.extend(self.price(means[opened:]))
-
-        # Completion times tau_{i+1} = tau_i + (draft + seconds_{i+1}),
-        # continued from the last priced one.
-        draft = self.draft
-        times = self.times
-        segment = bisect_right(starts, done) - 1
-        if small:
-            clock = times[-1]
-            index = done
-            while index < cap:
-                stop = starts[segment] + counts[segment]
-                step_duration = draft + results[segment].seconds
-                for _ in range(stop - index):
-                    clock = clock + step_duration
-                    times.append(clock)
-                index = stop
-                segment += 1
-        else:
-            durations = [
-                draft + result.seconds for result in results[segment:]
-            ]
-            chain = np.empty(cap - done + 1, dtype=np.float64)
-            chain[0] = times[-1]
-            if len(durations) == cap - done:
-                # One segment per iteration (the common shape at bucket
-                # 1) needs no repeat.
-                chain[1:] = durations
-            else:
-                lengths = counts[segment:]
-                lengths[0] -= done - starts[segment]
-                chain[1:] = np.repeat(durations, lengths)
-            np.add.accumulate(chain, out=chain)
-            times.extend(chain[1:].tolist())
-        self.cap = cap
+        self.starts: List[int] = starts
+        self.counts: List[int] = counts
+        self.results: List[IterationResult] = results
+        self.times: List[float] = times
 
 
 class Replica:
@@ -634,66 +503,8 @@ class Replica:
         duration += self._schedule_step()
         return now + duration
 
-    def compress_run(
-        self,
-        now: float,
-        horizon: Optional[float],
-        plan: Optional[RunPlan] = None,
-    ) -> Optional[Tuple[float, float]]:
-        """Execute a frozen run of decoding iterations in closed form.
-
-        Called by the cluster loops in place of :meth:`on_step_done` when
-        the in-flight iteration completes at ``now``, strictly before the
-        next external calendar event at ``horizon`` (``None`` = none
-        pending). If the batch is *frozen* — nothing admittable, fixed
-        TLP, deterministic per-slot acceptance — the run of iterations up
-        to the first slot completion, the horizon, or the iteration cap
-        is priced segment-by-segment (one lookup per context-bucket
-        crossing), timed with one sequential float chain (bit-identical
-        to the per-iteration float adds), and folded into every counter
-        the per-iteration path would have touched.
-
-        ``plan`` commits a run :meth:`plan_run` already priced from
-        ``now`` instead of pricing it again: the iterations that complete
-        strictly before ``horizon`` (all of them when ``horizon`` is
-        ``None``), so a lazy lane's run is priced once and committed in
-        pieces.
-
-        Returns ``(next_done_at, last_completed_at)`` — the completion
-        time of the newly scheduled (still in-flight) iteration and of
-        the run's last *completed* iteration (the caller's makespan
-        watermark) — or ``None`` to fall back to per-iteration stepping
-        (``step_macro`` records why). A ``None`` return mutates no
-        simulation state; any pricing performed only warms caches.
-        """
-        if plan is None:
-            plan = self.plan_run(now, horizon)
-            if plan is None:
-                return None
-        cap = plan.cap
-        if horizon is None:
-            run = cap
-        else:
-            # Count completion candidates strictly before the horizon
-            # (the burst loop's done_at < peek test): times[1:] holds
-            # tau_2..tau_{cap+1}, plus the already-completed in-flight
-            # iteration at times[0].
-            run = bisect_left(plan.times, horizon, 1, cap + 1)
-            if run > cap:
-                run = cap
-            if run < MACRO_MIN_RUN:
-                counters = self.step_macro
-                counters["fallback_horizon"] = (
-                    counters.get("fallback_horizon", 0) + 1
-                )
-                return None
-        return self._commit_run(plan, run)
-
     def plan_run(
-        self,
-        now: float,
-        horizon: Optional[float] = None,
-        upto: Optional[int] = None,
+        self, now: float, horizon: Optional[float] = None
     ) -> Optional[RunPlan]:
         """Price the frozen run whose first iteration completes at ``now``.
 
@@ -701,10 +512,9 @@ class Replica:
         gates (each decline counted in ``step_macro``), then the run up
         to the first slot completion, the iteration cap or
         :data:`MACRO_MAX_RUN` — and, given a ``horizon``, no further
-        than it could reach — priced and timed; ``upto`` prices only
-        that many iterations, leaving the rest to
-        :meth:`RunPlan.extend`. Mutates no simulation state; commit the
-        result through ``compress_run(now, horizon, plan)``.
+        than it could reach — priced and timed. Mutates no simulation
+        state; commit the result through ``compress_run(now, horizon,
+        plan)``.
         """
         if self._macro_off:
             return None
@@ -772,25 +582,150 @@ class Replica:
                 return None
             cap = min(cap, estimate)
         rlp = len(active)
+        per_iteration = rlp * steady
         pricer_key = (rlp, tlp)
         price = self._macro_pricer_cache.get(pricer_key)
         if price is None:
             price = self._macro_pricer(rlp, tlp)
             self._macro_pricer_cache[pricer_key] = price
-        plan = RunPlan(
-            now, cap, rlp, tlp, rlp * steady, steady, draft, result_first,
-            self._active_context_sum, self.pricer.context_bucket, price,
+
+        # Price iterations 2..cap+1 (cap completion candidates plus the
+        # run's outgoing in-flight step). The context total entering
+        # iteration i is total_0 + (i-1) * per_iteration; its raw mean
+        # and bucketized mean replicate price_mean_total's arithmetic
+        # exactly (np.round is round-half-even, bitwise equal to the
+        # builtin on these int-ratio inputs, so the short-run scalar
+        # path below and the long-run vector path are interchangeable).
+        total_0 = self._active_context_sum
+        bucket = self.pricer.context_bucket
+        if cap <= MACRO_SMALL_RUN:
+            # Scalar path: typical runs are a handful of iterations
+            # (completions recur every ~1/steady_output_fraction steps),
+            # where the vector pipeline's array setup costs more than it
+            # saves. Plain int/float arithmetic is the reference
+            # computation itself.
+            seg_starts: List[int] = []
+            seg_counts: List[int] = []
+            segment_results: List[IterationResult] = []
+            times_list = [now]
+            clock = now
+            total = total_0
+            previous_mean = -1
+            step_duration = 0.0
+            for index in range(cap):
+                total += per_iteration
+                raw_mean = round(total / rlp)
+                if raw_mean < 1:
+                    raw_mean = 1
+                if bucket <= 1:
+                    mean = raw_mean
+                else:
+                    mean = round(raw_mean / bucket) * bucket
+                    if mean < bucket:
+                        mean = bucket
+                if mean != previous_mean:
+                    previous_mean = mean
+                    seg_starts.append(index)
+                    seg_counts.append(1)
+                    result = price(raw_mean)
+                    segment_results.append(result)
+                    step_duration = draft + result.seconds
+                else:
+                    seg_counts[-1] += 1
+                clock = clock + step_duration
+                times_list.append(clock)
+        else:
+            totals = (
+                total_0
+                + np.arange(1, cap + 1, dtype=np.int64) * per_iteration
+            )
+            raw_means = np.maximum(np.round(totals / rlp), 1.0).astype(
+                np.int64
+            )
+            if bucket <= 1:
+                bucket_means = raw_means
+            else:
+                bucket_means = np.maximum(
+                    np.round(raw_means / bucket).astype(np.int64) * bucket,
+                    bucket,
+                )
+            boundaries = (
+                np.flatnonzero(bucket_means[1:] != bucket_means[:-1]) + 1
+            )
+            starts = np.concatenate(([0], boundaries))
+            counts = np.diff(np.concatenate((starts, [cap])))
+            segment_results = [price(int(raw_means[s])) for s in starts]
+
+            # Completion times: tau_1 = now, tau_{i+1} = tau_i + (draft
+            # + seconds_{i+1}) — the same one-add-per-iteration chain
+            # the event loop performs, as one sequential accumulate.
+            segment_durations = np.array(
+                [draft + result.seconds for result in segment_results]
+            )
+            times = np.empty(cap + 1, dtype=np.float64)
+            times[0] = now
+            times[1:] = np.repeat(segment_durations, counts)
+            np.add.accumulate(times, out=times)
+            seg_starts = starts.tolist()
+            seg_counts = counts.tolist()
+            times_list = times.tolist()
+        return RunPlan(
+            now, cap, rlp, tlp, per_iteration, steady, draft, result_first,
+            seg_starts, seg_counts, segment_results, times_list,
         )
-        plan.extend(cap if upto is None else min(cap, upto))
-        return plan
 
-    def _commit_run(self, plan: RunPlan, run: int) -> Tuple[float, float]:
-        """Commit the first ``run`` iterations of ``plan``.
+    def compress_run(
+        self,
+        now: float,
+        horizon: Optional[float],
+        plan: Optional[RunPlan] = None,
+    ) -> Optional[Tuple[float, float]]:
+        """Execute a frozen run of decoding iterations in closed form.
 
-        Replicates every side effect of ``run`` on_step_done +
-        _schedule_step rounds. No request finishes, so the slot state
-        advances uniformly and the monitor sees finish-free batches.
+        Called by the cluster loops in place of :meth:`on_step_done` when
+        the in-flight iteration completes at ``now``, strictly before the
+        next external calendar event at ``horizon`` (``None`` = none
+        pending). If the batch is *frozen* — nothing admittable, fixed
+        TLP, deterministic per-slot acceptance — the run of iterations up
+        to the first slot completion, the horizon, or the iteration cap
+        is priced segment-by-segment (one lookup per context-bucket
+        crossing), timed with one sequential ``np.add.accumulate`` chain
+        (bit-identical to the per-iteration float adds), and folded into
+        every counter the per-iteration path would have touched.
+
+        ``plan`` commits a run :meth:`plan_run` already priced from
+        ``now`` instead of pricing it again: the iterations that complete
+        strictly before ``horizon`` (all of them when ``horizon`` is
+        ``None``).
+
+        Returns ``(next_done_at, last_completed_at)`` — the completion
+        time of the newly scheduled (still in-flight) iteration and of
+        the run's last *completed* iteration (the caller's makespan
+        watermark) — or ``None`` to fall back to per-iteration stepping
+        (``step_macro`` records why). A ``None`` return mutates no
+        simulation state; any pricing performed only warms caches.
         """
+        if plan is None:
+            plan = self.plan_run(now, horizon)
+            if plan is None:
+                return None
+        counters = self.step_macro
+        run = plan.cap
+        if horizon is not None:
+            # Count completion candidates strictly before the horizon
+            # (the burst loop's done_at < peek test): times[1:] holds
+            # tau_2..tau_{cap+1}, plus the already-completed in-flight
+            # iteration at times[0].
+            run = min(bisect_left(plan.times, horizon, 1, run + 1), run)
+            if run < MACRO_MIN_RUN:
+                counters["fallback_horizon"] = (
+                    counters.get("fallback_horizon", 0) + 1
+                )
+                return None
+
+        # Commit: replicate every side effect of `run` on_step_done +
+        # _schedule_step rounds. No request finishes, so the slot state
+        # advances uniformly and the monitor sees finish-free batches.
         rlp = plan.rlp
         tlp = plan.tlp
         per_iteration = plan.per_iteration
@@ -827,17 +762,14 @@ class Replica:
         # Fold completed iterations 1..run: the in-flight result, then
         # the priced segments truncated to the run length.
         segment_results = plan.results
-        starts = plan.starts
         fold_segments: List[Tuple[IterationResult, int]] = [(plan.first, 1)]
-        if run > 1:
-            # Price index run-2 is the last completed iteration's.
-            last = bisect_right(starts, run - 2) - 1
-            fold_segments.extend(
-                zip(segment_results[:last], plan.counts[:last])
-            )
-            fold_segments.append(
-                (segment_results[last], run - 1 - starts[last])
-            )
+        needed = run - 1
+        for index, count in enumerate(plan.counts):
+            if needed <= 0:
+                break
+            take = count if count < needed else needed
+            fold_segments.append((segment_results[index], take))
+            needed -= take
         summary = self.summary
         if summary.detail == "full":
             records = summary.records
@@ -871,16 +803,13 @@ class Replica:
         self._iteration += run
         # Iteration run+1 leaves in flight; its segment holds price index
         # run-1 (index j prices iteration j+2).
-        self._pending = (
-            segment_results[bisect_right(starts, run - 1) - 1], tlp
-        )
-        counters = self.step_macro
+        segment_index = bisect_right(plan.starts, run - 1) - 1
+        self._pending = (segment_results[segment_index], tlp)
         counters["macro_steps"] = counters.get("macro_steps", 0) + 1
         counters["iterations_compressed"] = (
             counters.get("iterations_compressed", 0) + run
         )
-        times = plan.times
-        return times[run], times[run - 1]
+        return plan.times[run], plan.times[run - 1]
 
     def _macro_eligibility(self) -> Optional[str]:
         """Why this replica can never macro-step, or ``None`` if it can.
@@ -917,12 +846,10 @@ class Replica:
             request.generated += per_slot
 
     def _macro_pricer(self, rlp: int, tlp: int):
-        """Mean-mode pricing of one frozen run's segments: a callable
-        from a list of raw mean contexts to their step prices (see
+        """Mean-mode pricing callable for one frozen run (see
         :meth:`StepPricer.run_pricer`); slot-mirroring subclasses layer
         their per-replica memo on top."""
-        price = self.pricer.run_pricer(rlp, tlp)
-        return lambda means: [price(mean) for mean in means]
+        return self.pricer.run_pricer(rlp, tlp)
 
     def _prefill_done(self, now: float) -> Optional[float]:
         """A prefill-role batch reached first token; hand off or finish.

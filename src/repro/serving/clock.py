@@ -388,9 +388,10 @@ class EventCalendar:
         ``STEP_DONE`` events — but never past the next event that
         observes or mutates shared fleet state: an arrival (static lane,
         deferral lane, or dynamic re-push), an ``ADMIT`` poke, or a
-        ``KV_TRANSFER`` handoff. (A frozen batch's closed-form run does
-        not stop here either: it becomes a lazy lane of the fleet view,
-        committed as of each arrival's time.)
+        ``KV_TRANSFER`` handoff. (A frozen batch's closed-form run that
+        passes this horizon does not stop at it either: it becomes a
+        lazy lane of the fleet view, committed as of each arrival's
+        time.)
         Dynamic pushes are mirrored into a side heap of bare
         timestamps, cleaned lazily as the clock passes them; an entry
         *at* ``now`` may already have popped, which only makes the

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -16,18 +15,9 @@ DETAIL_MODES = ("full", "aggregate")
 
 #: Macro-run folds at or below this many iterations loop the reference
 #: :meth:`RunSummary.fold_iteration` instead of building the accumulate
-#: matrix — below it the matrix's allocation and row copies cost more
-#: than the per-iteration folds they replace.
-FOLD_LOOP_MAX = 8
-
-#: Interned fold-row layouts (see :meth:`RunSummary._fold_row_of`): one
-#: object per distinct (fc target, time keys, energy keys), so a
-#: macro-run checks that its segments share a layout by identity.
-_FOLD_SIGNATURES: Dict[tuple, tuple] = {}
-
-#: A result's cached fold row (raises ``AttributeError`` until
-#: :meth:`RunSummary._fold_row_of` has cached it).
-_FOLD_VEC = attrgetter("_fold_vec")
+#: matrix — the matrix's allocation/stack/repeat setup only amortizes
+#: over runs of tens of iterations, and short runs dominate real traces.
+FOLD_LOOP_MAX = 64
 
 
 def latency_percentile_of(
@@ -187,12 +177,10 @@ class RunSummary:
     def _fold_row_of(result: IterationResult):
         """Cache a result's aggregates as a flat float64 row.
 
-        Returns ``(signature, row)``: the row is ``[seconds,
-        energy_joules, *time_values, *energy_values]`` and the signature
-        ``(fc target, time keys, energy keys)`` names its layout, interned
-        so that equal layouts are one object. Cached on the (frozen,
-        memoized) result instance like ``_fold_items`` so a macro-run
-        touches each distinct result once.
+        Row layout: ``[seconds, energy_joules, *time_values,
+        *energy_values]`` with the key order captured alongside. Cached on
+        the (frozen, memoized) result instance like ``_fold_items`` so a
+        macro-run touches each distinct result once.
         """
         cached = getattr(result, "_fold_vec", None)
         if cached is None:
@@ -204,13 +192,12 @@ class RunSummary:
                 + [value for _, value in energy_items],
                 dtype=np.float64,
             )
-            signature = (
+            cached = (
                 result.fc_target._value_,
                 tuple(key for key, _ in time_items),
                 tuple(key for key, _ in energy_items),
+                row,
             )
-            signature = _FOLD_SIGNATURES.setdefault(signature, signature)
-            cached = (signature, row)
             object.__setattr__(result, "_fold_vec", cached)
         return cached
 
@@ -241,9 +228,9 @@ class RunSummary:
         target and breakdown keys; if a caller ever hands mixed segments,
         each is folded separately to preserve exactness.
         """
-        results, counts = zip(*segments)
+        counts = [count for _, count in segments]
         total = sum(counts)
-        if total <= 0 or min(counts) <= 0:
+        if total <= 0 or any(count <= 0 for count in counts):
             raise ConfigurationError("segment counts must be positive")
         if total <= FOLD_LOOP_MAX:
             # Short runs: assembling the accumulate matrix costs more
@@ -255,43 +242,48 @@ class RunSummary:
                 for _ in range(count):
                     fold(result, tokens_accepted)
             return
-        try:
-            folded = list(map(_FOLD_VEC, results))
-        except AttributeError:
-            folded = list(map(self._fold_row_of, results))
-        signatures, rows = zip(*folded)
-        signature = signatures[0]
-        if signatures.count(signature) != len(signatures):
+        folded = [self._fold_row_of(result) for result, _ in segments]
+        target, time_keys, energy_keys, _ = folded[0]
+        if any(
+            entry[0] != target
+            or entry[1] != time_keys
+            or entry[2] != energy_keys
+            for entry in folded[1:]
+        ):
             for result, count in segments:
                 self.fold_run(result, count, tokens_accepted)
             return
-        target, time_keys, energy_keys = signature
+        base = np.stack([entry[3] for entry in folded])
+        rows = np.repeat(base, counts, axis=0) if max(counts) > 1 else base
+        columns = rows.shape[1]
+        mat = np.empty((total + 1, columns), dtype=np.float64)
         time_breakdown = self.time_breakdown
         energy_breakdown = self.energy_breakdown
-        head = [self.decode_seconds, self.decode_energy]
-        head.extend(time_breakdown.get(key, 0.0) for key in time_keys)
-        head.extend(energy_breakdown.get(key, 0.0) for key in energy_keys)
-        if max(counts) > 1:
-            mat = np.empty((total + 1, len(head)), dtype=np.float64)
-            mat[0] = head
-            mat[1:] = np.repeat(np.array(rows), counts, axis=0)
-        else:
-            mat = np.array((head,) + rows, dtype=np.float64)
+        mat[0, 0] = self.decode_seconds
+        mat[0, 1] = self.decode_energy
+        col = 2
+        for key in time_keys:
+            mat[0, col] = time_breakdown.get(key, 0.0)
+            col += 1
+        for key in energy_keys:
+            mat[0, col] = energy_breakdown.get(key, 0.0)
+            col += 1
+        mat[1:] = rows
         np.add.accumulate(mat, axis=0, out=mat)
-        final = mat[-1].tolist()
+        final = mat[-1]
         self.iterations += total
         self.tokens_generated += tokens_accepted * total
         self.fc_target_iterations[target] = (
             self.fc_target_iterations.get(target, 0) + total
         )
-        self.decode_seconds = final[0]
-        self.decode_energy = final[1]
+        self.decode_seconds = float(final[0])
+        self.decode_energy = float(final[1])
         col = 2
         for key in time_keys:
-            time_breakdown[key] = final[col]
+            time_breakdown[key] = float(final[col])
             col += 1
         for key in energy_keys:
-            energy_breakdown[key] = final[col]
+            energy_breakdown[key] = float(final[col])
             col += 1
 
     @property

@@ -31,7 +31,7 @@ import pytest
 
 from repro.cluster.admission import SLOAdmissionController, TenantPolicy
 from repro.cluster.cluster import ClusterSimulator, VectorizedClusterSimulator
-from repro.cluster.replica import MACRO_MIN_RUN, Replica
+from repro.cluster.replica import Replica
 from repro.cluster.router import (
     Router,
     available_routers,
@@ -85,7 +85,7 @@ def _rebucketed(replica: Replica, bucket: int) -> Replica:
     )
 
 
-def _simulate(spec, core, detail="aggregate", context_bucket=1):
+def _simulate(spec, core, detail="aggregate", context_bucket=1, keep=None):
     spec = apply_core_mode(spec, core)
     spec = dataclasses.replace(
         spec, fleet=dataclasses.replace(spec.fleet, detail=detail)
@@ -105,6 +105,8 @@ def _simulate(spec, core, detail="aggregate", context_bucket=1):
         router,
         admission=build_admission(spec, price_cache=router.price_cache),
     )
+    if keep is not None:
+        keep.append(simulator)
     return simulator.run(build_requests(spec))
 
 
@@ -240,6 +242,23 @@ class TestSeededSpecs:
         _assert_matches_ground(
             _pair(300.0, requests=240, replicas=8), context_bucket=32
         )
+
+    def test_drained_fleet_keeps_no_plan(self):
+        """Every lazy run is committed once the trace drains, and no
+        stale record in the lane index keeps its priced plan: the drain
+        itself (no interaction event left to pass) goes lazy never, so
+        the index holds at most a record or two per lane."""
+        keep = []
+        summary = _simulate(
+            _pair(400.0, requests=400, replicas=16), "vectorized", keep=keep
+        )
+        assert summary.step_macro.get("lazy_runs", 0) > 0
+        fleet = keep[0].fleet
+        assert all(run is None for run in fleet._lazy)
+        records = [run for _, _, run in fleet._lazy_heap]
+        records += [run for runs in fleet._lazy_due.values() for run in runs]
+        assert all(run.plan is None for run in records)
+        assert len(fleet._lazy_heap) <= 2 * len(fleet)
 
     @pytest.mark.parametrize("admission", ["defer", "reject"])
     @pytest.mark.parametrize("policy", available_routers())
@@ -430,38 +449,4 @@ class TestExactTies:
         assert lazy == ground
         assert [now for rid, now, _ in lazy[1] if rid == 1] == [
             arrival, chain[-1]
-        ]
-
-
-
-class TestPricedInPieces:
-    """A lazy run of a batch with a free slot prices its first iterations
-    and the rest only once it passes them uncut (``RunPlan.extend``); the
-    pieces must add up to the run priced at once — segments, prices and
-    completion times — across the scalar and vector pricing paths and a
-    segment that spans two pieces."""
-
-    def _frozen(self, bucket):
-        replica = _tie_replicas("vectorized")[0]
-        if bucket != 1:
-            replica = _rebucketed(replica, bucket)
-        replica.enqueue(Request(request_id=0, input_len=300, output_len=400))
-        assert replica.poke(0.0) is not None
-        return replica
-
-    @pytest.mark.parametrize("bucket", [1, 32])
-    @pytest.mark.parametrize(
-        "pieces", [(None,), (16, 128, None), (3, 67, 68, 200, None)]
-    )
-    def test_pieces_add_up_to_the_whole_run(self, bucket, pieces):
-        replica = self._frozen(bucket)
-        whole = replica.plan_run(1.0)
-        part = replica.plan_run(1.0, upto=MACRO_MIN_RUN)
-        assert part.cap == MACRO_MIN_RUN < 200 < whole.cap == whole.limit
-        for cap in pieces:
-            part.extend(whole.limit if cap is None else cap)
-        for name in ("cap", "starts", "counts", "means", "times"):
-            assert getattr(part, name) == getattr(whole, name), name
-        assert [r.seconds for r in part.results] == [
-            r.seconds for r in whole.results
         ]
