@@ -255,8 +255,9 @@ def _macro_stepping_disabled():
     """Force the per-iteration path for a before/after phase breakdown.
 
     Patches :meth:`Replica.plan_run` (where every macro-run starts —
-    ``compress_run`` and the vectorized core's lazy lanes both plan
-    through it, and ``VectorReplica`` inherits it) to decline every
+    ``compress_run`` and the vectorized core's relaxed burst, which
+    starts lazy lanes, both plan through it, and ``VectorReplica``
+    inherits it) to decline every
     attempt, so the same trace replays through the reference
     per-iteration loop.
     """
