@@ -180,20 +180,28 @@ _PHASE_FILES = {
 }
 
 #: ``fleetstate.py`` holds both sides: probe/pricing machinery and the
-#: vectorized replica's step handlers. Function-name prefixes that
-#: belong to the probe-pricing phase.
+#: vectorized replica's step handlers (lazy lanes included). Function-name
+#: prefixes that belong to the probe-pricing phase: every ``FleetState``
+#: probe, its list views, verdicts, memos, pricing helpers and the
+#: counter mirroring they read.
 _PROBE_PREFIXES = (
-    "probe",
-    "route",
-    "price",
-    "_fleet_step",
-    "_refresh_lanes",
-    "_sync_memo",
-    "_cost_order",
-    "_projected",
-    "_flush",
-    "_steps",
+    "probe_",
+    "fleet_",
+    "route_min_cost",
+    "route_slo_slack",
+    "price_",
+    "outstanding_counts",
     "mark_dirty",
+    "_flush",
+    "_projected_loads",
+    "_fleet_step_array",
+    "_rebuild_probe",
+    "_refresh_lanes",
+    "_plan_codes",
+    "_table_values",
+    "_price_",
+    "_sync_memo",
+    "_steps_key",
 )
 
 

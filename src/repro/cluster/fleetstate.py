@@ -11,13 +11,16 @@ bulk):
 
 * :class:`FleetState` — a sequence view over the replicas plus fleet-wide
   arrays of the incremental load counters (``_remaining_tokens``, active/
-  waiting context sums, batch occupancy, current TLP). Routing probes
-  (:meth:`FleetState.fleet_step_seconds`,
-  :meth:`FleetState.fleet_completion_seconds`) project every replica's
-  post-admission batch shape with vector arithmetic and gather prices
-  from per-group dense tables; misses are priced through one
-  pinned-target :func:`~repro.systems.batch.price_steps_at` call per
-  group, so every lane stays bit-identical to the scalar probe.
+  waiting context sums, batch occupancy, current TLP). One probe path
+  serves every fleet, mixed or not: a vector pass projects every
+  replica's post-admission batch shape and gathers prices from each
+  price group's dense table, and later probes recompute only the lanes
+  an event touched. Unseen points are priced through one pinned-target
+  :func:`~repro.systems.batch.price_steps_at` call per group, so every
+  lane stays bit-identical to the scalar probe. The step and completion
+  vectors are memoized per fleet version
+  (:meth:`FleetState.probe_steps`, :meth:`FleetState.probe_completions`);
+  list views and routing verdicts read them.
 * :class:`VectorReplica` — a :class:`~repro.cluster.replica.Replica`
   whose per-step bookkeeping runs on primitive slot arrays (remaining
   tokens and context per batch slot as plain ints) instead of request
@@ -513,15 +516,15 @@ class _PriceGroup:
     identically (the equality the shared price cache scopes by),
     so one dense table of step prices — indexed ``[fc target, rlp, tlp,
     context bucket]``, ``NaN`` marking unpriced points — serves them
-    all.
+    all. ``indices`` selects the group's lanes from a fleet-wide array:
+    its members' positions, or the whole fleet as a slice when the fleet
+    is one group.
     """
 
     __slots__ = ("indices", "representative", "table", "entries")
 
-    def __init__(
-        self, indices: Optional[np.ndarray], representative: Replica
-    ) -> None:
-        self.indices = indices  # None => the whole fleet (single group)
+    def __init__(self, indices, representative: Replica) -> None:
+        self.indices = indices
         self.representative = representative
         self.table = np.full(
             (len(CODE_TARGETS), 1, 1, 1), np.nan, dtype=np.float64
@@ -554,11 +557,13 @@ class FleetState:
     and iterate it like a list), with these additions the vectorized hot
     paths dispatch on:
 
-    * :meth:`fleet_step_seconds` / :meth:`fleet_completion_seconds` —
-      array-parallel twins of the per-replica ``projected_*_seconds``
-      reference probes (the router module dispatches to these when
-      present), plus the version-memoized ``probe_*`` and ``route_*``
-      verdicts built on them.
+    * :meth:`probe_steps` / :meth:`probe_completions` — array-parallel
+      twins of the per-replica ``projected_*_seconds`` reference probes,
+      one memo each per fleet version. Everything else reads them:
+      :meth:`fleet_step_seconds` / :meth:`fleet_completion_seconds` (the
+      list views the router module dispatches to),
+      :meth:`probe_min_completion` (admission), and the ``route_*``
+      verdicts, which sort the step vector.
     * :meth:`outstanding_counts` — queued + active per replica, for
       vectorized router ranking.
     * :meth:`mark_dirty` / ``_flush`` — the simulator marks a replica
@@ -618,6 +623,11 @@ class FleetState:
         self.hits = 0
         self.misses = 0
         self._groups = self._build_groups()
+        # Each lane's price group: the incremental refresh reads its table.
+        self._lane_groups: List[_PriceGroup] = [self._groups[0]] * n
+        for group in self._groups:
+            for index in np.arange(n)[group.indices].tolist():
+                self._lane_groups[index] = group
         self._share_price_memos()
         # FC-planner vectorization: when every system follows one of the
         # recognized planners, probes resolve all lanes' placements as
@@ -661,58 +671,39 @@ class FleetState:
         self._sc_codes = np.empty(n, dtype=np.int64)
         self._sc_outstanding = np.empty(n, dtype=np.int64)
         self._sc_mean = np.empty(n, dtype=np.float64)
-        self._sc_per = np.empty(n, dtype=np.float64)
-        self._sc_own = np.empty(n, dtype=np.float64)
-        self._sc_backlog = np.empty(n, dtype=np.float64)
+        self._sc_slack = np.empty(n, dtype=np.float64)
         self._sc_mask1 = np.empty(n, dtype=np.bool_)
         self._sc_mask2 = np.empty(n, dtype=np.bool_)
         self._rlp_cap = int(self.max_batch.max())
-        # Step-array identity cache: the admission controller prices the
-        # fleet and immediately projects completions from the list it got
-        # back; keeping the array twin of the last returned list skips a
-        # list -> array round trip per consultation.
-        self._last_step_list: Optional[List[float]] = None
-        self._last_step_array: Optional[np.ndarray] = None
-        # Incremental probe cache (homogeneous fleets): between two step
-        # probes only the replicas that handled an event can have changed,
-        # so the previous probe's per-lane values stay exact everywhere
-        # else. ``_probe_dirty`` collects changed lanes (a second consumer
-        # of ``mark_dirty``, drained independently of ``_flush``);
-        # ``_probe_sensitive`` holds the lanes whose projection included
-        # the candidate's own input length (``slots > waiting``) — those
-        # also refresh when a probe carries a different ``input_len``.
-        self._probe_values: Optional[np.ndarray] = None
-        self._probe_dirty: set = set()
+        # Incremental probe: between two step probes only the replicas
+        # that handled an event can have changed, so the previous probe's
+        # per-lane values stay exact everywhere else. ``_probe_dirty``
+        # collects changed lanes (a second consumer of ``mark_dirty``,
+        # drained independently of ``_flush``); every lane starts stale,
+        # so the first probe is a full vector pass. ``_probe_sensitive``
+        # holds the lanes whose projection included the candidate's own
+        # input length (``slots > waiting``) — those also refresh when a
+        # probe carries a different ``input_len``.
+        self._probe_values = np.empty(n, dtype=np.float64)
+        self._probe_dirty: set = set(range(n))
         self._probe_sensitive: set = set()
         self._probe_input_len = -1
         # Fleet version + verdict memos: ``version`` advances on every
-        # router-visible state change (``mark_dirty``), and the memos
-        # below — whole-fleet step vectors, completion vectors, and
-        # routing orders keyed by the probe's plan-group key — are valid
-        # exactly while the version holds still. Back-to-back arrivals
-        # against an unchanged fleet (deferral storms above all) reuse
-        # the prior verdict in O(1) instead of re-pricing O(lanes); any
-        # admit or step event bumps the version and drops the memos
-        # wholesale.
+        # router-visible state change (``mark_dirty``), and the two memos
+        # below — whole-fleet step vectors and completion vectors, keyed
+        # by the probe's plan-group key — are valid exactly while the
+        # version holds still. Back-to-back arrivals against an unchanged
+        # fleet (deferral storms above all) reuse the prior vector in
+        # O(1) instead of re-pricing O(lanes); any admit or step event
+        # bumps the version and drops the memos wholesale.
         self.version = 0
         self._memo_version = 0
         self._steps_memo: Dict[int, np.ndarray] = {}
         self._completion_memo: Dict[
             Tuple[int, int], Tuple[np.ndarray, float]
         ] = {}
-        self._order_memo: Dict[int, np.ndarray] = {}
-        # Request-independent factors of the completion projection,
-        # shared across a frozen-version segment's distinct output
-        # lengths (``per_iteration`` per steps key, ``backlog`` per
-        # version).
-        self._per_memo: Dict[int, np.ndarray] = {}
-        self._backlog_cache: Optional[np.ndarray] = None
         self.probe_hits = 0
         self.probe_misses = 0
-        self._homogeneous = (
-            len(self._groups) == 1 and self._groups[0].indices is None
-        )
-        self._sc_slack = np.empty(n, dtype=np.float64)
         self._flush()
 
     # -- sequence protocol (routers treat the fleet as a list) ------------
@@ -947,8 +938,8 @@ class FleetState:
         serving the same workload — plus the pricer's context accounting
         knobs,
         so group members can also share one step-price memo. A
-        homogeneous fleet collapses to one group with ``indices=None``
-        (the fast whole-array path).
+        homogeneous fleet collapses to one group whose ``indices`` is a
+        whole-fleet slice (views instead of gathers).
         """
         members: List[Tuple[Replica, List[int]]] = []
         for index, replica in enumerate(self._replicas):
@@ -966,7 +957,7 @@ class FleetState:
             else:
                 members.append((replica, [index]))
         if len(members) == 1:
-            return [_PriceGroup(None, members[0][0])]
+            return [_PriceGroup(slice(None), members[0][0])]
         return [
             _PriceGroup(np.asarray(indices, dtype=np.intp), representative)
             for representative, indices in members
@@ -984,21 +975,14 @@ class FleetState:
         per-replica warmup (each replica missing the same operating
         points) into one warm table per group.
         """
-        for group in self._groups:
-            indices = (
-                range(len(self._replicas))
-                if group.indices is None
-                else group.indices.tolist()
-            )
-            memo: Dict[tuple, object] = {}
-            prefill_memo: Dict[tuple, object] = {}
-            capacity_ok: set = set()
-            for index in indices:
-                replica = self._replicas[index]
-                if isinstance(replica, VectorReplica):
-                    replica._price_memo = memo
-                    replica._prefill_memo = prefill_memo
-                    replica._capacity_ok = capacity_ok
+        shared = {group: ({}, {}, set()) for group in self._groups}
+        for replica, group in zip(self._replicas, self._lane_groups):
+            if isinstance(replica, VectorReplica):
+                (
+                    replica._price_memo,
+                    replica._prefill_memo,
+                    replica._capacity_ok,
+                ) = shared[group]
 
     # -- vectorized probes -------------------------------------------------
 
@@ -1072,81 +1056,42 @@ class FleetState:
         np.copyto(ctx_index, mean, casting="unsafe")
         return rlp, ctx_index
 
-    def fleet_step_seconds(self, request: Request) -> List[float]:
-        """Projected next-iteration seconds for every replica.
+    def _fleet_step_array(self, request: Request) -> np.ndarray:
+        """Projected next-iteration seconds per replica: the live probe.
 
         Bit-identical lane-for-lane to
         :func:`~repro.cluster.router.projected_step_seconds` over each
         replica: the same projected batch shapes, the same grid point
         priced at the same pinned FC target — only the bookkeeping is
-        arrays and dense tables instead of dicts.
-        """
-        values = self._fleet_step_array(request)
-        result = values.tolist()
-        self._last_step_array = values
-        self._last_step_list = result
-        return result
-
-    def _fleet_step_array(self, request: Request) -> np.ndarray:
-        """:meth:`fleet_step_seconds` as a float64 array.
-
-        Homogeneous fleets run the incremental path: the cached previous
-        probe stays valid lane-for-lane except where an event touched a
+        arrays and dense tables instead of dicts. The previous probe's
+        values stay valid lane-for-lane except where an event touched a
         replica (``_probe_dirty``) or the candidate's input length enters
         the projection (``_probe_sensitive``); only those lanes recompute
-        — scalar arithmetic identical to the vector passes. Heterogeneous
-        fleets (several price groups) take the full vector path.
+        (:meth:`_refresh_lanes`), unless a quarter of the fleet or more
+        moved, which takes one vector pass (:meth:`_rebuild_probe`). The
+        returned array is refreshed in place by later probes.
         """
         self._flush()
-        groups = self._groups
-        if len(groups) == 1 and groups[0].indices is None:
-            values = self._probe_values
-            if values is None:
-                return self._rebuild_probe(groups[0], request.input_len)
-            lanes = self._probe_dirty
-            input_len = request.input_len
-            if input_len != self._probe_input_len:
-                lanes |= self._probe_sensitive
-                self._probe_input_len = input_len
-            misses = 0
-            if lanes:
-                if len(lanes) * 4 >= values.shape[0]:
-                    # Most of the fleet moved (step burst between two
-                    # probes): one vector pass beats a long scalar loop.
-                    return self._rebuild_probe(groups[0], input_len)
-                misses = self._refresh_lanes(groups[0], lanes, input_len)
-                lanes.clear()
-            self.misses += misses
-            self.hits += values.shape[0] - misses
-            return values
-        rlp, ctx_index = self._projected_loads(request.input_len)
-        tlp = self.current_tlp
-        codes = self._plan_codes(rlp, tlp)
-        out = np.empty(len(self._replicas), dtype=np.float64)
-        for group in groups:
-            idx = group.indices
-            g_codes = codes[idx]
-            g_rlp = rlp[idx]
-            g_tlp = tlp[idx]
-            g_ctx = ctx_index[idx]
-            group.ensure(
-                int(g_rlp.max()), int(g_tlp.max()), int(g_ctx.max())
-            )
-            values = group.table[g_codes, g_rlp, g_tlp, g_ctx]
-            missing = np.isnan(values)
-            miss_count = int(missing.sum())
-            if miss_count:
-                self._price_group_misses(
-                    group, g_codes, g_rlp, g_tlp,
-                    g_ctx * ADMISSION_CONTEXT_BUCKET, values, missing,
-                )
-                self.misses += miss_count
-            self.hits += values.shape[0] - miss_count
-            out[idx] = values
-        return out
+        values = self._probe_values
+        lanes = self._probe_dirty
+        input_len = request.input_len
+        if input_len != self._probe_input_len:
+            lanes |= self._probe_sensitive
+            self._probe_input_len = input_len
+        misses = 0
+        if lanes:
+            if len(lanes) * 4 >= values.shape[0]:
+                # Most of the fleet moved (step burst between two
+                # probes): one vector pass beats a long scalar loop.
+                return self._rebuild_probe(input_len)
+            misses = self._refresh_lanes(lanes, input_len)
+            lanes.clear()
+        self.misses += misses
+        self.hits += values.shape[0] - misses
+        return values
 
-    def _rebuild_probe(self, group: _PriceGroup, input_len: int) -> np.ndarray:
-        """Full vector probe that seeds the incremental cache."""
+    def _rebuild_probe(self, input_len: int) -> np.ndarray:
+        """Full vector probe over every price group; seeds the refresh."""
         rlp, ctx_index = self._projected_loads(input_len)
         # ``_projected_loads`` leaves the open-slot counts in its scratch
         # buffer; a lane is input-sensitive exactly when the candidate
@@ -1158,40 +1103,35 @@ class FleetState:
         self._probe_sensitive = set(np.nonzero(sensitive)[0].tolist())
         tlp = self.current_tlp
         codes = self._plan_codes(rlp, tlp)
-        group.ensure(self._rlp_cap, int(tlp.max()), int(ctx_index.max()))
-        values = group.table[codes, rlp, tlp, ctx_index]
-        missing = np.isnan(values)
-        miss_count = int(missing.sum())
-        if miss_count:
-            self._price_group_misses(
-                group, codes, rlp, tlp,
-                ctx_index * ADMISSION_CONTEXT_BUCKET, values, missing,
+        values = self._probe_values
+        for group in self._groups:
+            keys, group_values = self._table_values(
+                group, codes, rlp, tlp, ctx_index
             )
-            self.misses += miss_count
-        self.hits += values.shape[0] - miss_count
-        self._probe_values = values
+            missing = np.isnan(group_values)
+            miss_count = int(missing.sum())
+            if miss_count:
+                self._price_group_misses(group, keys, group_values, missing)
+                self.misses += miss_count
+            self.hits += group_values.shape[0] - miss_count
+            values[group.indices] = group_values
         self._probe_input_len = input_len
         self._probe_dirty.clear()
         return values
 
-    def _refresh_lanes(
-        self, group: _PriceGroup, lanes: set, input_len: int
-    ) -> int:
+    def _refresh_lanes(self, lanes: set, input_len: int) -> int:
         """Recompute the cached probe's stale lanes; returns miss count.
 
         Scalar twin of one lane of the vector probe: the same projected
         batch shape (``projected_admission_load``'s arithmetic), the same
         two half-even roundings (Python ``round`` == ``np.rint`` on the
         same float64 quotients), the same per-replica placement
-        resolution, the same dense table — so a refreshed lane is
-        bit-identical to what the full vector pass would produce.
+        resolution, the same dense table (the lane's own price group's)
+        — so a refreshed lane is bit-identical to what the full vector
+        pass would produce.
         """
-        # Lanes mutate in place, so the identity cache handed to the
-        # completion probe is stale from here on.
-        self._last_step_list = None
-        self._last_step_array = None
         replicas = self._replicas
-        table = group.table
+        lane_groups = self._lane_groups
         values = self._probe_values
         sensitive = self._probe_sensitive
         bucket = ADMISSION_CONTEXT_BUCKET
@@ -1247,40 +1187,18 @@ class FleetState:
                 code = TARGET_CODES[
                     replica.system.plan_fc_target(rlp, tlp)
                 ]
+            group = lane_groups[i]
+            table = group.table
             shape = table.shape
             if rlp >= shape[1] or tlp >= shape[2] or ctx >= shape[3]:
-                group.ensure(max(rlp, self._rlp_cap), tlp, ctx)
+                group.ensure(self._rlp_cap, tlp, ctx)
                 table = group.table
             value = table[code, rlp, tlp, ctx]
             if value != value:  # NaN: unseen operating point
-                value = self._price_lane(group, code, rlp, tlp, ctx)
+                value = self._price_points(group, [(code, rlp, tlp, ctx)])[0]
                 misses += 1
             values[i] = value
         return misses
-
-    def _price_lane(
-        self, group: _PriceGroup, code: int, rlp: int, tlp: int, ctx: int
-    ) -> float:
-        """Price one unseen operating point (the incremental miss path).
-
-        The one-lane case of :meth:`_price_group_misses`: the same
-        pinned-target :func:`price_steps_at` call over a one-point grid.
-        """
-        representative = group.representative
-        grid = build_step_grid(
-            representative.model,
-            [rlp],
-            [tlp],
-            [ctx * ADMISSION_CONTEXT_BUCKET],
-            moe=representative.moe,
-        )
-        priced = price_steps_at(
-            representative.system, grid, (CODE_TARGETS[code],)
-        )
-        value = float(priced.seconds[0])
-        group.table[code, rlp, tlp, ctx] = value
-        group.entries += 1
-        return value
 
     def _plan_codes(self, rlp: np.ndarray, tlp: np.ndarray) -> np.ndarray:
         """Every lane's planned FC placement code for a probe's loads.
@@ -1330,84 +1248,75 @@ class FleetState:
             ]
         return codes
 
+    def _table_values(
+        self,
+        group: _PriceGroup,
+        codes: np.ndarray,
+        rlp: np.ndarray,
+        tlp: np.ndarray,
+        ctx_index: np.ndarray,
+    ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+        """A price group's lanes of a vector probe.
+
+        Returns the lanes' table keys ``(code, rlp, tlp, context index)``
+        and their table prices (``NaN`` where unpriced), the table grown
+        to cover every key.
+        """
+        idx = group.indices
+        keys = (codes[idx], rlp[idx], tlp[idx], ctx_index[idx])
+        group.ensure(self._rlp_cap, int(keys[2].max()), int(keys[3].max()))
+        return keys, group.table[keys]
+
     def _price_group_misses(
         self,
         group: _PriceGroup,
-        g_codes: np.ndarray,
-        g_rlp: np.ndarray,
-        g_tlp: np.ndarray,
-        g_bucketed: np.ndarray,
+        keys: Tuple[np.ndarray, ...],
         values: np.ndarray,
         missing: np.ndarray,
     ) -> None:
-        """Price a probe's unseen operating points and fill the table.
+        """Price a vector probe's unseen points for one group, in place.
 
-        Identical projections collapse to one grid lane; lanes are priced
-        in a single pinned-target :func:`price_steps_at` call, with each
-        lane's FC target pinned to what its replica planned.
+        Identical projections collapse to one point, priced once.
         """
-        lanes: Dict[Tuple[int, int, int, int], List[int]] = {}
-        for position in np.nonzero(missing)[0].tolist():
-            key = (
-                int(g_codes[position]),
-                int(g_rlp[position]),
-                int(g_tlp[position]),
-                int(g_bucketed[position]),
-            )
-            lanes.setdefault(key, []).append(position)
+        missed = np.nonzero(missing)[0]
+        points: Dict[Tuple[int, ...], List[int]] = {}
+        for position, point in zip(
+            missed.tolist(), zip(*[axis[missed].tolist() for axis in keys])
+        ):
+            points.setdefault(point, []).append(position)
+        priced = self._price_points(group, list(points))
+        for positions, value in zip(points.values(), priced):
+            values[positions] = value
+
+    def _price_points(
+        self, group: _PriceGroup, points: List[Tuple[int, ...]]
+    ) -> List[float]:
+        """Price unseen ``(code, rlp, tlp, context index)`` table points.
+
+        One pinned-target :func:`price_steps_at` call over the points'
+        grid, each point's FC target pinned to the code its key carries
+        (what its replica planned). Fills the group's table and returns
+        the prices in point order.
+        """
+        codes, rlp, tlp, ctx_index = zip(*points)
         representative = group.representative
-        keys = list(lanes)
-        targets = tuple(CODE_TARGETS[key[0]] for key in keys)
         grid = build_step_grid(
             representative.model,
-            [key[1] for key in keys],
-            [key[2] for key in keys],
-            [key[3] for key in keys],
+            rlp,
+            tlp,
+            np.multiply(ctx_index, ADMISSION_CONTEXT_BUCKET),
             moe=representative.moe,
         )
-        priced = price_steps_at(representative.system, grid, targets)
+        priced = price_steps_at(
+            representative.system,
+            grid,
+            tuple(CODE_TARGETS[code] for code in codes),
+        ).seconds.tolist()
         table = group.table
-        bucket = ADMISSION_CONTEXT_BUCKET
-        for lane, key in enumerate(keys):
-            value = float(priced.seconds[lane])
-            table[key[0], key[1], key[2], key[3] // bucket] = value
-            for position in lanes[key]:
-                values[position] = value
-        group.entries += len(keys)
-
-    def fleet_completion_seconds(
-        self,
-        request: Request,
-        step_seconds: Optional[Sequence[float]] = None,
-    ) -> List[float]:
-        """Projected completion seconds for every replica.
-
-        Bit-identical lane-for-lane to
-        :func:`~repro.cluster.router.projected_completion_seconds`: the
-        same ceil / backlog-drain arithmetic, elementwise.
-        """
-        if step_seconds is None:
-            steps = self._fleet_step_array(request)
-        elif step_seconds is self._last_step_list:
-            # The admission controller (and the slo-slack router) hand
-            # back the exact list the step probe just returned; reuse its
-            # array twin instead of re-converting.
-            steps = self._last_step_array
-        else:
-            steps = np.asarray(step_seconds, dtype=np.float64)
-        self._flush()
-        per_iteration = np.add(steps, self.draft_overhead, out=self._sc_per)
-        own = np.divide(
-            request.output_len, self.expected_tokens, out=self._sc_own
-        )
-        np.ceil(own, out=own)
-        backlog = np.divide(
-            self.remaining_tokens, self._drain_denominator,
-            out=self._sc_backlog,
-        )
-        np.add(own, backlog, out=own)
-        np.multiply(own, per_iteration, out=own)
-        return own.tolist()
+        for point, value in zip(points, priced):
+            table[point] = value
+        group.entries += len(points)
+        return priced
 
     # -- version-keyed verdict memos -----------------------------------
 
@@ -1418,13 +1327,10 @@ class FleetState:
     VERDICT_MEMO_ENTRIES = 1 << 13
 
     def _sync_memo(self) -> None:
-        """Drop every memoized verdict older than the current version."""
+        """Drop every memoized vector older than the current version."""
         if self._memo_version != self.version:
             self._steps_memo.clear()
             self._completion_memo.clear()
-            self._order_memo.clear()
-            self._per_memo.clear()
-            self._backlog_cache = None
             self._memo_version = self.version
 
     def _steps_key(self, input_len: int) -> int:
@@ -1433,16 +1339,14 @@ class FleetState:
         A probe reads the candidate's ``input_len`` only through lanes
         whose projection includes the candidate itself (``slots >
         waiting`` — the ``_probe_sensitive`` set, a pure function of
-        fleet state and therefore fixed per version). A saturated
-        homogeneous fleet has no such lane, so every input length maps to
-        one shared key (``-1``) — the case deferral storms live in.
+        fleet state and therefore fixed per version). A saturated fleet
+        has no such lane, so every input length maps to one shared key
+        (``-1``) — the case deferral storms live in.
         Valid only after at least one probe ran at the current version
         (memos are cleared on every bump, so a non-empty memo implies the
         sensitive set reflects the current state).
         """
-        if self._homogeneous and not self._probe_sensitive:
-            return -1
-        return input_len
+        return input_len if self._probe_sensitive else -1
 
     def probe_steps(self, request: Request) -> np.ndarray:
         """Version-memoized whole-fleet step vector.
@@ -1453,7 +1357,7 @@ class FleetState:
         for a *different* input length can never corrupt this entry.
         Bit-identical either way: within one version no counter a probe
         reads has changed, so a recompute would reproduce the exact same
-        floats.
+        floats. Callers must not write to the returned array.
         """
         self._sync_memo()
         memo = self._steps_memo
@@ -1469,23 +1373,9 @@ class FleetState:
         memo[self._steps_key(request.input_len)] = values
         return values
 
-    def _steps_for(self, request: Request) -> np.ndarray:
-        """:meth:`probe_steps` without touching the query counters.
-
-        For internal second reads inside one logical query (the slack
-        router needs both the completion vector and the step vector):
-        the query already counted once, so this lookup must not.
-        """
-        memo = self._steps_memo
-        if memo:
-            values = memo.get(self._steps_key(request.input_len))
-            if values is not None:
-                return values
-        values = self._fleet_step_array(request).copy()
-        if len(memo) >= self.VERDICT_MEMO_ENTRIES:
-            memo.clear()
-        memo[self._steps_key(request.input_len)] = values
-        return values
+    def fleet_step_seconds(self, request: Request) -> List[float]:
+        """:meth:`probe_steps` as a list (one counted query)."""
+        return self.probe_steps(request).tolist()
 
     def probe_min_batch(
         self, requests: Sequence[Request]
@@ -1501,52 +1391,37 @@ class FleetState:
         scalar probe for member ``j`` — prices the whole slice; the
         row-wise minimum is exactly what :meth:`probe_min_completion`
         would return member by member. Returns ``None`` when members'
-        step vectors could differ (input-sensitive lanes, heterogeneous
-        fleet); callers fall back to the per-member probe. Counts one
-        query (the shared step-vector lookup) per call.
+        step vectors could differ (input-sensitive lanes); callers fall
+        back to the per-member probe. Counts one query (the shared
+        step-vector lookup) per call.
 
         No event loop calls it (admission always probes member by
         member through ``SLOAdmissionController.decide``); it stays
         while ``perfbench/tracer.py`` wraps it by name.
         """
-        self._sync_memo()
-        if self._steps_memo and (
-            not self._homogeneous or self._probe_sensitive
-        ):
-            # A probe already ran at this version, so the sensitivity
-            # set is current: bail before doing any projection work.
-            return None
         steps = self.probe_steps(requests[0])
-        if not self._homogeneous or self._probe_sensitive:
+        if self._probe_sensitive:
             return None
-        per_iteration = self._per_memo.get(-1)
-        if per_iteration is None:
-            per_iteration = np.add(steps, self.draft_overhead)
-            self._per_memo[-1] = per_iteration
-        backlog = self._backlog_cache
-        if backlog is None:
-            backlog = self._backlog_cache = np.divide(
-                self.remaining_tokens, self._drain_denominator
-            )
         outputs = np.array(
             [request.output_len for request in requests], dtype=np.int64
         )
         grid = np.divide(outputs[:, None], self.expected_tokens)
         np.ceil(grid, out=grid)
-        np.add(grid, backlog, out=grid)
-        np.multiply(grid, per_iteration, out=grid)
+        grid += np.divide(self.remaining_tokens, self._drain_denominator)
+        grid *= np.add(steps, self.draft_overhead)
         return grid.min(axis=1)
 
     def probe_completions(self, request: Request) -> Tuple[np.ndarray, float]:
         """Version-memoized ``(completion vector, minimum)`` pair.
 
-        The completion arithmetic is exactly
-        :meth:`fleet_completion_seconds`'s (same elementwise ops, same
-        scratch discipline); the memo key extends the step key with the
+        Bit-identical lane-for-lane to
+        :func:`~repro.cluster.router.projected_completion_seconds`: the
+        same ceil / backlog-drain arithmetic over the step vector,
+        elementwise. The memo key extends the step key with the
         candidate's ``output_len`` (the only other request field the
         projection reads). The cached minimum equals ``min()`` over the
-        probe's list form — one float compared bit-for-bit by the
-        admission controller.
+        list form — one float compared bit-for-bit by the admission
+        controller. Callers must not write to the returned array.
         """
         self._sync_memo()
         memo = self._completion_memo
@@ -1558,116 +1433,69 @@ class FleetState:
                 self.probe_hits += 1
                 return entry
         # The query counts exactly once — through the step-vector lookup
-        # below (hit when the probe vector was reused and only the four
+        # below (hit when the probe vector was reused and only the
         # elementwise completion passes ran, miss when the whole fleet
         # probe recomputed).
         steps = self.probe_steps(request)
-        key = self._steps_key(request.input_len)
-        # ``per_iteration`` and ``backlog`` are request-independent (per
-        # steps key / per version respectively): compute each once per
-        # frozen-version segment and let every distinct output length in
-        # the segment reuse them — the same float64 operands the
-        # unshared pipeline would rebuild, so results are bit-identical.
-        per_iteration = self._per_memo.get(key)
-        if per_iteration is None:
-            per_iteration = np.add(steps, self.draft_overhead)
-            self._per_memo[key] = per_iteration
-        backlog = self._backlog_cache
-        if backlog is None:
-            backlog = self._backlog_cache = np.divide(
-                self.remaining_tokens, self._drain_denominator
-            )
         completions = np.divide(request.output_len, self.expected_tokens)
         np.ceil(completions, out=completions)
-        np.add(completions, backlog, out=completions)
-        np.multiply(completions, per_iteration, out=completions)
+        completions += np.divide(
+            self.remaining_tokens, self._drain_denominator
+        )
+        completions *= np.add(steps, self.draft_overhead)
         entry = (completions, float(completions.min()))
         if len(memo) >= self.VERDICT_MEMO_ENTRIES:
             memo.clear()
-        memo[(key, request.output_len)] = entry
+        memo[(self._steps_key(request.input_len), request.output_len)] = entry
         return entry
 
-    def probe_min_completion(self, request: Request) -> float:
-        """The admission controller's fast path: best projected completion.
+    def fleet_completion_seconds(self, request: Request) -> List[float]:
+        """:meth:`probe_completions`' vector as a list (one counted query)."""
+        return self.probe_completions(request)[0].tolist()
 
-        Equals ``min(fleet_completion_seconds(request))`` — the value
-        the admission controller compares against the deadline — via
-        the version memo. The hit path is hand-inlined (version check,
-        steps key, one dict probe): deferral storms take it millions of
-        times per trace, so every avoided method call is wall-clock.
+    def probe_min_completion(self, request: Request) -> float:
+        """The admission controller's verdict input: best completion.
+
+        Equals ``min(fleet_completion_seconds(request))``, read from the
+        :meth:`probe_completions` memo.
         """
-        if self._memo_version != self.version:
-            self._sync_memo()
-        memo = self._completion_memo
-        if memo:
-            key = (
-                -1
-                if (self._homogeneous and not self._probe_sensitive)
-                else request.input_len
-            )
-            entry = memo.get((key, request.output_len))
-            if entry is not None:
-                self.probe_hits += 1
-                return entry[1]
         return self.probe_completions(request)[1]
 
-    def _cost_order(self, request: Request, steps: np.ndarray) -> np.ndarray:
-        """Replica indices by (step cost, outstanding, index), memoized.
-
-        ``np.lexsort`` is stable with the last key primary, so the order
-        ranks exactly the reference tuple-min criterion; ``steps`` must
-        come from :meth:`probe_steps` at the current version (which also
-        makes the memo key valid).
-        """
-        memo = self._order_memo
-        key = self._steps_key(request.input_len)
-        order = memo.get(key)
-        if order is None:
-            order = np.lexsort((self.outstanding_counts(), steps))
-            if len(memo) >= self.VERDICT_MEMO_ENTRIES:
-                memo.clear()
-            memo[key] = order
-        return order
-
     def route_min_cost(self, request: Request) -> int:
-        """The min-cost router's verdict via the version memo.
+        """The min-cost router's verdict over the memoized step vector.
 
         Identical to the reference router's ``min`` over (cost,
-        outstanding, index) tuples — ``np.lexsort`` is stable with its
-        last key primary — with both the step vector and the sorted
-        order reused while the version holds still.
+        outstanding, index) tuples: ``np.lexsort`` is stable with its
+        last key primary.
         """
-        self._sync_memo()
         steps = self.probe_steps(request)
-        return int(self._cost_order(request, steps)[0])
+        return int(np.lexsort((self.outstanding_counts(), steps))[0])
 
     def route_slo_slack(self, request: Request, now: float) -> int:
-        """The slo-slack router's verdict via the version memos.
+        """The slo-slack router's verdict over the memoized vectors.
 
         Best-effort requests degrade to :meth:`route_min_cost` exactly as
-        the reference does. Deadline requests recompute only the slack —
+        the reference does. Deadline requests compute only the slack —
         elementwise ``deadline - (now + c)``, never algebraically
         rearranged, so feasibility tests see bit-identical floats — and
-        reuse the memoized cost order: the first feasible index in the
-        global (cost, outstanding, index) order is precisely the
-        feasible-subset tuple minimum, so the verdict matches the
-        reference branch for branch. The all-infeasible
-        fallback (reachable only for deadline traffic that bypassed
-        admission) ranks by most slack exactly as the reference.
+        take the first feasible index in the global (cost, outstanding,
+        index) order, which is precisely the feasible-subset tuple
+        minimum. The all-infeasible fallback (reachable only for
+        deadline traffic that bypassed admission) ranks by most slack
+        exactly as the reference.
         """
         deadline = request.deadline_s
         if deadline is None:
             return self.route_min_cost(request)
-        self._sync_memo()
         completions, _ = self.probe_completions(request)
-        steps = self._steps_for(request)
+        steps = self.probe_steps(request)
+        counts = self.outstanding_counts()
         slack = np.add(completions, now, out=self._sc_slack)
         np.subtract(deadline, slack, out=slack)
         feasible = np.greater_equal(slack, 0.0, out=self._sc_mask1)
         if feasible.any():
-            order = self._cost_order(request, steps)
+            order = np.lexsort((counts, steps))
             return int(order[int(np.argmax(feasible[order]))])
-        counts = self.outstanding_counts()
         return int(np.lexsort((counts, steps, np.negative(slack)))[0])
 
     def price_run(self, requests: Sequence[Request]) -> int:
@@ -1689,9 +1517,7 @@ class FleetState:
         """
         self._flush()
         groups = self._groups
-        pending: List[Dict[Tuple[int, int, int, int], None]] = [
-            {} for _ in groups
-        ]
+        pending: List[Dict[Tuple[int, ...], None]] = [{} for _ in groups]
         seen: set = set()
         for request in requests:
             input_len = request.input_len
@@ -1710,59 +1536,19 @@ class FleetState:
             )
             tlp = self.current_tlp
             codes = self._plan_codes(rlp, tlp)
-            for position, group in enumerate(groups):
-                idx = group.indices
-                if idx is None:
-                    g_codes, g_rlp, g_tlp, g_ctx = codes, rlp, tlp, ctx_index
-                else:
-                    g_codes = codes[idx]
-                    g_rlp = rlp[idx]
-                    g_tlp = tlp[idx]
-                    g_ctx = ctx_index[idx]
-                group.ensure(
-                    int(g_rlp.max()), int(g_tlp.max()), int(g_ctx.max())
+            for group, want in zip(groups, pending):
+                keys, values = self._table_values(
+                    group, codes, rlp, tlp, ctx_index
                 )
-                values = group.table[g_codes, g_rlp, g_tlp, g_ctx]
-                missing = np.isnan(values)
-                if missing.any():
-                    want = pending[position]
-                    for lane in np.nonzero(missing)[0].tolist():
-                        want[
-                            (
-                                int(g_codes[lane]),
-                                int(g_rlp[lane]),
-                                int(g_tlp[lane]),
-                                int(g_ctx[lane]),
-                            )
-                        ] = None
+                lanes = np.nonzero(np.isnan(values))[0]
+                points = zip(*[axis[lanes].tolist() for axis in keys])
+                want.update(dict.fromkeys(points))
             if not input_sensitive:
                 break
-        priced_points = 0
         for group, want in zip(groups, pending):
-            if not want:
-                continue
-            keys = list(want)
-            representative = group.representative
-            grid = build_step_grid(
-                representative.model,
-                [key[1] for key in keys],
-                [key[2] for key in keys],
-                [key[3] * ADMISSION_CONTEXT_BUCKET for key in keys],
-                moe=representative.moe,
-            )
-            priced = price_steps_at(
-                representative.system,
-                grid,
-                tuple(CODE_TARGETS[key[0]] for key in keys),
-            )
-            table = group.table
-            for lane, key in enumerate(keys):
-                table[key[0], key[1], key[2], key[3]] = float(
-                    priced.seconds[lane]
-                )
-            group.entries += len(keys)
-            priced_points += len(keys)
-        return priced_points
+            if want:
+                self._price_points(group, list(want))
+        return sum(len(want) for want in pending)
 
     # -- reporting ---------------------------------------------------------
 
@@ -1782,13 +1568,17 @@ class FleetState:
     def memo_stats(self) -> Dict[str, float]:
         """Verdict-memo effectiveness counters for the cluster report.
 
-        ``probe_hits`` / ``probe_misses`` count *queries* — admission
-        probes and routing verdicts — exactly once each: a miss is a
-        query that recomputed the whole-fleet probe vector, a hit is one
-        answered from the version-keyed memos (a cached verdict, or a
-        verdict assembled from the memoized probe vector and segment
-        factors). ``version_bumps`` is the fleet version itself — one
-        bump per router-visible state change.
+        ``probe_hits`` / ``probe_misses`` count *queries*: every
+        :meth:`probe_steps` or :meth:`probe_completions` lookup, once
+        each, whoever makes it — admission, the ``route_*`` verdicts (the
+        slo-slack verdict reads both vectors, so it counts two), and the
+        list views :meth:`fleet_step_seconds` /
+        :meth:`fleet_completion_seconds`. A miss is a query that
+        recomputed the whole-fleet step vector; a hit is one answered
+        from the version-keyed memos (a memoized vector, or a completion
+        vector computed from the memoized step vector).
+        ``version_bumps`` is the fleet version itself — one bump per
+        router-visible state change.
         """
         total = self.probe_hits + self.probe_misses
         return {

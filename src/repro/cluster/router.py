@@ -39,8 +39,11 @@ Each policy is written once against the *fleet view* the simulator
 hands it. A plain list of scalar-core replicas answers through the
 ``projected_*_seconds`` reference probes, one replica at a time; the
 vectorized core's :class:`~repro.cluster.fleetstate.FleetState` answers
-through its own array probes and version-memoized verdicts. Both views
-return bit-identical prices, so both cores route identically.
+from its two version-memoized vectors (projected step seconds and
+projected completion seconds), as lists through ``fleet_*_seconds``
+and as min-cost / slo-slack verdicts sorted from them by
+``route_min_cost`` / ``route_slo_slack``. Both views return
+bit-identical prices, so both cores route identically.
 """
 
 from __future__ import annotations
@@ -146,9 +149,10 @@ def projected_step_seconds_fleet(
     """Projected next-iteration seconds for every replica of a fleet view.
 
     A :class:`~repro.cluster.fleetstate.FleetState` (the vectorized
-    core's fleet view) answers from its dense price tables through
-    :meth:`~repro.cluster.fleetstate.FleetState.fleet_step_seconds`; a
-    list of scalar-core replicas through one
+    core's fleet view) answers through
+    :meth:`~repro.cluster.fleetstate.FleetState.fleet_step_seconds`, the
+    list form of its version-memoized step vector (one counted
+    ``probe_memo`` query); a list of scalar-core replicas through one
     :func:`projected_step_seconds` reference probe per replica. Lanes
     are bit-identical either way.
     """
@@ -698,7 +702,6 @@ class SessionAffinityRouter(SLOSlackRouter):
         request: Request,
         replicas: Sequence[Replica],
         home: int,
-        costs: Sequence[float],
         now: float,
     ) -> bool:
         """Whether the home's projected completion meets the deadline.
@@ -712,7 +715,7 @@ class SessionAffinityRouter(SLOSlackRouter):
             return True
         fleet = getattr(replicas, "fleet_completion_seconds", None)
         if fleet is not None:
-            completion = fleet(request, costs)[home]
+            completion = fleet(request)[home]
         else:
             completion = projected_completion_seconds(
                 replicas[home], request, self._price_cache
@@ -736,7 +739,7 @@ class SessionAffinityRouter(SLOSlackRouter):
             )
             if costs[home] <= costs[best] * (
                 1.0 + self.tolerance
-            ) and self._meets_deadline(request, replicas, home, costs, now):
+            ) and self._meets_deadline(request, replicas, home, now):
                 choice = home
         self._session_homes[session] = choice
         return choice
