@@ -262,10 +262,9 @@ def profile_phase_breakdown(requests: int) -> dict:
 def _macro_stepping_disabled():
     """Force the per-iteration path for a before/after phase breakdown.
 
-    Patches :meth:`Replica.plan_run` (where every macro-run starts —
-    ``compress_run`` and the vectorized core's relaxed burst, which
-    starts lazy lanes, both plan through it, and ``VectorReplica``
-    inherits it) to decline every
+    Patches :meth:`Replica.plan_run` (where every macro-run starts: the
+    vectorized core's relaxed burst plans each inline or lazy run
+    through it, and ``VectorReplica`` inherits it) to decline every
     attempt, so the same trace replays through the reference
     per-iteration loop.
     """

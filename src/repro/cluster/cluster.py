@@ -196,16 +196,16 @@ class ClusterSummary:
         step_macro: Macro-stepping counters summed across the fleet:
             ``macro_steps`` (closed-form advances committed),
             ``iterations_compressed`` (iterations they covered),
-            ``lazy_runs`` (runs the vectorized core left uncommitted past
-            foreign events as lazy lanes), ``lazy_cuts`` (lazy lanes
-            committed early because routing sent their batch a request
-            it could admit, or a deferral would tie them), and
-            ``fallback_<reason>`` counts for runs that stepped
-            per-iteration instead (``admittable``,
-            ``finish_due``, ``horizon``, ``iteration_cap``, plus the
+            ``lazy_runs`` (runs left uncommitted past foreign events as
+            lazy lanes), ``lazy_cuts`` (lazy lanes committed early
+            because routing sent their batch a request it could admit,
+            or a deferral would tie them), and ``fallback_<reason>``
+            counts for runs that stepped per-iteration instead
+            (``admittable``, ``finish_due``, ``iteration_cap``, plus the
             static ``context_mode`` / ``tlp_policy`` /
-            ``speculation_draws`` latches). Empty when no replica ever
-            attempted one.
+            ``speculation_draws`` latches). Only a vectorized colocated
+            sessionless fleet macro-steps, so the counters are empty on
+            the scalar core and on session or disaggregated fleets.
     """
 
     router: str
@@ -284,14 +284,16 @@ class ClusterSimulator:
 
     The scalar reference core (``core_mode="scalar"``): every routing and
     admission probe walks the plain replica list through the per-replica
-    reference projections. It is the oracle the
+    reference projections, and every replica steps one iteration at a
+    time (no macro-stepping). It is the oracle the
     :class:`VectorizedClusterSimulator` is pinned against, bit for bit.
     Both cores, on every fleet topology, drain the same
     :class:`~repro.serving.clock.EventCalendar` through one event loop
     (:meth:`_run_strict`), and admission is always
     :meth:`SLOAdmissionController.decide`. The cores differ there only in
     the fleet view routing and admission probe (:attr:`fleet`) and, on
-    colocated sessionless fleets, in how far a step burst may run.
+    colocated sessionless fleets, in how far a step burst may run and
+    whether it macro-steps.
 
     Args:
         replicas: The fleet, in replica-id order.
@@ -457,14 +459,15 @@ class ClusterSimulator:
 
         One event per pop, and a replica's inline step burst ends before
         the next event that could observe the fleet, so nothing a probe
-        would read is skipped. That horizon is every pending event, with
-        one refinement on a vectorized colocated sessionless fleet, where
-        a foreign ``STEP_DONE`` observes nothing: a burst stops only at
-        the next interaction event, committing a frozen batch's
-        closed-form run inline when it ends before that event, and a run
-        that passes it becomes a lazy lane of the :class:`FleetState` —
-        one calendar event at the run's end, its completions shown to
-        each arrival's probes as of the arrival
+        would read is skipped. That horizon is every pending event, and
+        the burst steps one iteration at a time, except on a vectorized
+        colocated sessionless fleet, where a foreign ``STEP_DONE``
+        observes nothing. There alone a burst stops only at the next
+        interaction event and macro-steps: a frozen batch's closed-form
+        run (:meth:`Replica.plan_run`) commits inline when it ends before
+        that event, and a run that passes it becomes a lazy lane of the
+        :class:`FleetState` — one calendar event at the run's end, its
+        completions shown to each arrival's probes as of the arrival
         (:meth:`FleetState.advance`), and the lane committed early only
         when routing sends it a request its batch has room for or a
         deferral would tie it (:meth:`FleetState.route_to` /
@@ -506,8 +509,8 @@ class ClusterSimulator:
         # next interaction event, and a frozen replica's closed-form run
         # that passes it becomes a lazy lane of the FleetState, with one
         # calendar event at the run's end.
-        # Everywhere else, the scalar oracle included, a burst stops at
-        # the next pending event of any kind.
+        # Everywhere else, the scalar oracle included, a burst steps
+        # every iteration up to the next pending event of any kind.
         relaxed = (
             mirrored
             and not disaggregated
@@ -602,37 +605,6 @@ class ClusterSimulator:
                     fleet.mark_dirty(local)
                 if replica.idle:
                     calendar.push(now, ADMIT_CODE, index)
-            elif relaxed:  # ADMIT_CODE / STEP_DONE_CODE, lazy lanes
-                replica = replicas[payload]
-                if kind == ADMIT_CODE:
-                    done_at = replica.poke(now)
-                else:
-                    done_at = replica.on_step_done(now)
-                # Step inline up to the next interaction event, a frozen
-                # run that ends before it in closed form; a frozen run
-                # that passes it goes lazy, with one event at its end.
-                horizon = horizon_of()
-                while done_at is not None:
-                    plan = replica.plan_run(done_at)
-                    if plan is None:
-                        if horizon is not None and done_at >= horizon:
-                            break
-                        if done_at > makespan:
-                            makespan = done_at
-                        done_at = replica.on_step_done(done_at)
-                    elif horizon is None or plan.times[plan.cap] < horizon:
-                        done_at, watermark = replica.compress_run(
-                            done_at, None, plan
-                        )
-                        if watermark > makespan:
-                            makespan = watermark
-                    else:
-                        run = fleet.start_lazy(payload, plan)
-                        calendar.push(run.end, STEP_DONE_CODE, run)
-                        done_at = None
-                fleet.mark_dirty(payload)
-                if done_at is not None:
-                    calendar.push(done_at, STEP_DONE_CODE, payload)
             else:  # ADMIT_CODE / STEP_DONE_CODE
                 replica = replicas[payload]
                 if kind == ADMIT_CODE:
@@ -645,8 +617,7 @@ class ClusterSimulator:
                         self._ship_transfers(replica, calendar, now)
                 # Inline step burst: while this replica's next completion
                 # strictly precedes the horizon, nothing can observe the
-                # fleet in between — run (and, when the batch is frozen,
-                # macro-compress) the steps back-to-back without a
+                # fleet in between — run the steps back-to-back without a
                 # calendar round-trip per step. An event *at* the horizon
                 # holds an older sequence number than a fresh push, so it
                 # wins the tie. Events pushed from inside the burst keep
@@ -654,27 +625,38 @@ class ClusterSimulator:
                 # given them. Completions inside the burst happen at their
                 # own times, not the stalled calendar clock — follow-ups
                 # and KV handoffs are stamped with the inline completion
-                # time, then the horizon is re-peeked.
+                # time, then the horizon is re-peeked. On a relaxed fleet
+                # a frozen run is priced whole instead: it commits inline
+                # in closed form when it ends before the horizon, and
+                # otherwise goes lazy, with one event at its end.
                 horizon = horizon_of()
-                while done_at is not None and (
-                    horizon is None or done_at < horizon
-                ):
-                    compressed = replica.compress_run(done_at, horizon)
-                    if compressed is not None:
-                        done_at, watermark = compressed
+                while done_at is not None:
+                    plan = replica.plan_run(done_at) if relaxed else None
+                    if plan is None:
+                        if horizon is not None and done_at >= horizon:
+                            break
+                        step_at = done_at
+                        if step_at > makespan:
+                            makespan = step_at
+                        done_at = replica.on_step_done(step_at)
+                        if replica.followups:
+                            self._spawn_followups(
+                                replica, trace, stats, calendar
+                            )
+                            horizon = horizon_of()
+                        if replica.outbound:
+                            self._ship_transfers(replica, calendar, step_at)
+                            horizon = horizon_of()
+                    elif horizon is None or plan.times[plan.cap] < horizon:
+                        done_at, watermark = replica.compress_run(
+                            plan, plan.cap
+                        )
                         if watermark > makespan:
                             makespan = watermark
-                        continue
-                    step_at = done_at
-                    if step_at > makespan:
-                        makespan = step_at
-                    done_at = replica.on_step_done(step_at)
-                    if replica.followups:
-                        self._spawn_followups(replica, trace, stats, calendar)
-                        horizon = horizon_of()
-                    if replica.outbound:
-                        self._ship_transfers(replica, calendar, step_at)
-                        horizon = horizon_of()
+                    else:
+                        run = fleet.start_lazy(payload, plan)
+                        calendar.push(run.end, STEP_DONE_CODE, run)
+                        done_at = None
                 local = fleet_slot.get(payload)
                 if local is not None:
                     fleet.mark_dirty(local)
@@ -801,12 +783,13 @@ class VectorizedClusterSimulator(ClusterSimulator):
       would mix pool semantics in every probe.
     * On a colocated sessionless fleet a replica's step burst may run
       past foreign ``STEP_DONE`` events, up to the next interaction
-      event, and a frozen batch's closed-form run that passes that
-      event becomes a lazy lane: the fleet view computes its counters
-      where an arrival's probe reads them, and cuts only a lane that
-      routing sends a request its batch can admit. Session and
-      disaggregated fleets keep the strict horizon, where a foreign
-      completion can push a follow-up arrival or a KV handoff.
+      event, and macro-steps: a frozen batch's closed-form run commits
+      inline, or, when it passes that event, becomes a lazy lane: the
+      fleet view computes its counters where an arrival's probe reads
+      them, and cuts only a lane that routing sends a request its batch
+      can admit. Session and disaggregated fleets keep the strict
+      horizon and step every iteration, as the scalar core does, since
+      a foreign completion can push a follow-up arrival or a KV handoff.
 
     Replicas must be :class:`~repro.cluster.fleetstate.VectorReplica`
     instances (primitive slot-array step bookkeeping); the scenario

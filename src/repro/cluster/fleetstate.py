@@ -842,7 +842,7 @@ class FleetState:
         replica = self._replicas[lane]
         done_at = plan.start
         if run.shown >= MACRO_MIN_RUN:
-            done_at, _ = replica.compress_run(done_at, now, plan)
+            done_at, _ = replica.compress_run(plan, run.shown)
         else:
             for _ in range(run.shown):
                 done_at = replica.on_step_done(done_at)
@@ -902,7 +902,7 @@ class FleetState:
             return False
         run.plan = None
         self._lazy[run.lane] = None
-        self._replicas[run.lane].compress_run(plan.start, None, plan)
+        self._replicas[run.lane].compress_run(plan, plan.cap)
         return True
 
     def _queue(self, run: LazyRun) -> None:

@@ -20,17 +20,18 @@ the step-cost cache).
 
 This is the only decoding state machine. :meth:`ServingEngine.run`
 serves a static batch (every paper figure) by calling
-:meth:`on_step_done` once per iteration; the cluster loops, and with them
-:meth:`ServingEngine.run_trace`, may instead fold a frozen run of
-iterations through :meth:`compress_run`.
-``tests/test_cluster.py::TestRunTrace::test_matches_static_run_when_all_arrive_at_once``
-pins that macro-stepping refinement to the per-iteration ground model:
-every summary field but the makespan must match exactly.
+:meth:`on_step_done` once per iteration, and so does every cluster run
+but one kind: on a vectorized colocated sessionless fleet the event loop
+prices a frozen run of iterations with :meth:`plan_run` and folds it
+through :meth:`compress_run`. The scalar core, and with it
+:meth:`ServingEngine.run_trace`, never macro-steps, so every
+scalar-vs-vectorized equivalence test checks that refinement against the
+per-iteration ground model.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -80,8 +81,8 @@ class RunPlan:
         start: Completion time of the run's first iteration (the one in
             flight when the run was planned).
         cap: Iterations the run covers: up to the first slot completion,
-            the iteration cap or :data:`MACRO_MAX_RUN` (or the horizon
-            it was planned for).
+            the iteration cap or :data:`MACRO_MAX_RUN`, whichever comes
+            first.
         times: ``cap + 1`` completion times: ``times[i]`` is iteration
             ``i + 1``'s, so ``times[0] == start`` and ``times[cap]`` is
             the in-flight iteration's after the whole run commits.
@@ -267,7 +268,7 @@ class Replica:
         self.expected_tokens_per_iteration = max(
             1.0, speculation.expected_tokens_per_iteration()
         )
-        # Macro-stepping state (see :meth:`compress_run`): fallback/engage
+        # Macro-stepping state (see :meth:`plan_run`): fallback/engage
         # counters for reporting, a static-ineligibility latch, and the
         # tokens every slot deterministically accepts per frozen iteration
         # (resolved lazily on the first attempt).
@@ -503,18 +504,16 @@ class Replica:
         duration += self._schedule_step()
         return now + duration
 
-    def plan_run(
-        self, now: float, horizon: Optional[float] = None
-    ) -> Optional[RunPlan]:
+    def plan_run(self, now: float) -> Optional[RunPlan]:
         """Price the frozen run whose first iteration completes at ``now``.
 
-        The planning half of :meth:`compress_run`: the same eligibility
-        gates (each decline counted in ``step_macro``), then the run up
-        to the first slot completion, the iteration cap or
-        :data:`MACRO_MAX_RUN` — and, given a ``horizon``, no further
-        than it could reach — priced and timed. Mutates no simulation
-        state; commit the result through ``compress_run(now, horizon,
-        plan)``.
+        A run is *frozen* when nothing is admittable, the TLP is fixed
+        and every slot deterministically accepts the same tokens per
+        iteration. Returns ``None`` when the batch is not (each decline
+        counted in ``step_macro``); otherwise the run up to the first
+        slot completion, the iteration cap or :data:`MACRO_MAX_RUN`,
+        priced and timed. Mutates no simulation state; commit the plan,
+        or a prefix of it, through :meth:`compress_run`.
         """
         if self._macro_off:
             return None
@@ -546,8 +545,8 @@ class Replica:
                 counters.get("fallback_tlp_policy", 0) + 1
             )
             return None
-        # K's four limiting terms: first slot completion, the iteration
-        # cap, the hard per-step bound, and (below) the horizon.
+        # K's three limiting terms: first slot completion, the iteration
+        # cap and the hard per-step bound.
         min_remaining = self._macro_min_remaining()
         finish_free = (min_remaining - 1) // steady
         if finish_free < MACRO_MIN_RUN:
@@ -563,24 +562,6 @@ class Replica:
             return None
         cap = min(finish_free, iteration_room, MACRO_MAX_RUN)
         draft = self.speculation.draft_overhead_s(tlp)
-        if horizon is not None:
-            # Durations are nondecreasing in context, so the in-flight
-            # iteration's duration lower-bounds the rest: at most
-            # (horizon - now) / d1 more iterations can fit (+1 slack for
-            # the exact strict-inequality cut in compress_run).
-            first_duration = draft + result_first.seconds
-            if first_duration <= 0.0:
-                counters["fallback_horizon"] = (
-                    counters.get("fallback_horizon", 0) + 1
-                )
-                return None
-            estimate = 2 + int((horizon - now) / first_duration)
-            if estimate < MACRO_MIN_RUN:
-                counters["fallback_horizon"] = (
-                    counters.get("fallback_horizon", 0) + 1
-                )
-                return None
-            cap = min(cap, estimate)
         rlp = len(active)
         per_iteration = rlp * steady
         pricer_key = (rlp, tlp)
@@ -674,55 +655,23 @@ class Replica:
             seg_starts, seg_counts, segment_results, times_list,
         )
 
-    def compress_run(
-        self,
-        now: float,
-        horizon: Optional[float],
-        plan: Optional[RunPlan] = None,
-    ) -> Optional[Tuple[float, float]]:
-        """Execute a frozen run of decoding iterations in closed form.
+    def compress_run(self, plan: RunPlan, run: int) -> Tuple[float, float]:
+        """Commit the first ``run`` iterations of ``plan`` in closed form.
 
-        Called by the cluster loops in place of :meth:`on_step_done` when
-        the in-flight iteration completes at ``now``, strictly before the
-        next external calendar event at ``horizon`` (``None`` = none
-        pending). If the batch is *frozen* — nothing admittable, fixed
-        TLP, deterministic per-slot acceptance — the run of iterations up
-        to the first slot completion, the horizon, or the iteration cap
-        is priced segment-by-segment (one lookup per context-bucket
-        crossing), timed with one sequential ``np.add.accumulate`` chain
-        (bit-identical to the per-iteration float adds), and folded into
-        every counter the per-iteration path would have touched.
+        ``plan`` is a run :meth:`plan_run` priced from this replica's
+        current state, its first iteration in flight; ``1 <= run <=
+        plan.cap``. The iterations' prices (one per context-bucket
+        segment) and completion times (one sequential float chain,
+        bit-identical to the per-iteration adds) come from the plan, and
+        every counter the per-iteration path would have touched is
+        folded at once: the replica ends as ``run`` :meth:`on_step_done`
+        rounds would leave it.
 
-        ``plan`` commits a run :meth:`plan_run` already priced from
-        ``now`` instead of pricing it again: the iterations that complete
-        strictly before ``horizon`` (all of them when ``horizon`` is
-        ``None``).
-
-        Returns ``(next_done_at, last_completed_at)`` — the completion
+        Returns ``(next_done_at, last_completed_at)``: the completion
         time of the newly scheduled (still in-flight) iteration and of
         the run's last *completed* iteration (the caller's makespan
-        watermark) — or ``None`` to fall back to per-iteration stepping
-        (``step_macro`` records why). A ``None`` return mutates no
-        simulation state; any pricing performed only warms caches.
+        watermark).
         """
-        if plan is None:
-            plan = self.plan_run(now, horizon)
-            if plan is None:
-                return None
-        counters = self.step_macro
-        run = plan.cap
-        if horizon is not None:
-            # Count completion candidates strictly before the horizon
-            # (the burst loop's done_at < peek test): times[1:] holds
-            # tau_2..tau_{cap+1}, plus the already-completed in-flight
-            # iteration at times[0].
-            run = min(bisect_left(plan.times, horizon, 1, run + 1), run)
-            if run < MACRO_MIN_RUN:
-                counters["fallback_horizon"] = (
-                    counters.get("fallback_horizon", 0) + 1
-                )
-                return None
-
         # Commit: replicate every side effect of `run` on_step_done +
         # _schedule_step rounds. No request finishes, so the slot state
         # advances uniformly and the monitor sees finish-free batches.
@@ -805,6 +754,7 @@ class Replica:
         # run-1 (index j prices iteration j+2).
         segment_index = bisect_right(plan.starts, run - 1) - 1
         self._pending = (segment_results[segment_index], tlp)
+        counters = self.step_macro
         counters["macro_steps"] = counters.get("macro_steps", 0) + 1
         counters["iterations_compressed"] = (
             counters.get("iterations_compressed", 0) + run

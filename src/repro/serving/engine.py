@@ -413,7 +413,8 @@ class ServingEngine:
         iteration granularity — mixed continuous batching (Section
         2.2.1), which keeps RLP near the slot count. Per-request latency
         therefore covers queueing + prefill + decoding. This is the
-        single-replica case of the cluster event loop (``repro.cluster``).
+        single-replica case of the scalar cluster core (``repro.cluster``),
+        which steps every iteration as :meth:`run` does.
 
         Args:
             requests: Requests with ``arrival_s`` stamped (e.g. via

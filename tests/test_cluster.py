@@ -19,6 +19,8 @@ from repro.cluster import (
     build_router,
     projected_completion_seconds,
 )
+from repro.cluster.cluster import VectorizedClusterSimulator
+from repro.cluster.fleetstate import VectorReplica
 from repro.errors import CapacityError, ConfigurationError
 from repro.models.config import get_model
 from repro.serving.arrivals import poisson_arrivals
@@ -385,15 +387,16 @@ class TestReplica:
 
 class TestRunTrace:
     @staticmethod
-    def _assert_trace_matches_run(context_mode, tlp):
+    def _assert_trace_matches_run(context_mode, tlp, vectorized=False):
         """Serve one 16-request batch both ways; return the trace replica.
 
         With every request arriving at t=0 and a batch slot for each, the
         event-driven path serves exactly the static batch. ``run`` steps
-        every iteration (the ground model) while the cluster loop may
-        macro-step frozen runs, so every summary field but the makespan —
-        records, latencies and the TLP trace included — must match bit
-        for bit.
+        every iteration (the ground model), and so does ``serve_trace``
+        (the scalar core); with ``vectorized`` the trace runs through the
+        vectorized core on a ``VectorReplica``, which macro-steps frozen
+        runs. Either way every summary field but the makespan — records,
+        latencies and the TLP trace included — must match bit for bit.
         """
         model = get_model("llama-65b")
         speculation = SpeculationConfig(
@@ -414,7 +417,7 @@ class TestRunTrace:
             context_mode=context_mode,
         )
         static = engine.run(sample_requests("general-qa", 16, seed=17))
-        replica = Replica(
+        replica = (VectorReplica if vectorized else Replica)(
             replica_id=0,
             system=build_system("papi"),
             model=model,
@@ -424,7 +427,14 @@ class TestRunTrace:
             seed=17,
             context_mode=context_mode,
         )
-        trace = replica.serve_trace(sample_requests("general-qa", 16, seed=17))
+        requests = sample_requests("general-qa", 16, seed=17)
+        if vectorized:
+            VectorizedClusterSimulator([replica], RoundRobinRouter()).run(
+                requests
+            )
+            trace = replica.summary
+        else:
+            trace = replica.serve_trace(requests)
         for field in dataclasses.fields(RunSummary):
             if field.name == "makespan_seconds":
                 continue
@@ -436,9 +446,11 @@ class TestRunTrace:
         return replica
 
     def test_matches_static_run_when_all_arrive_at_once(self):
-        """Mean mode at TLP 1 is the case the cluster loop macro-steps:
-        the exact match must hold with most iterations compressed."""
-        replica = self._assert_trace_matches_run("mean", "tlp1")
+        """Mean mode at TLP 1 is the case the vectorized core macro-steps:
+        the exact match must hold with iterations compressed."""
+        replica = self._assert_trace_matches_run(
+            "mean", "tlp1", vectorized=True
+        )
         assert replica.step_macro["iterations_compressed"] > 0
 
     @pytest.mark.parametrize("context_mode", ["mean", "per-request"])

@@ -22,6 +22,7 @@ import pytest
 from test_fleet_version_memo import _storm_scenario
 
 from repro.cluster.admission import SLOAdmissionController
+from repro.cluster.replica import Replica
 from repro.errors import ConfigurationError
 from repro.scenario import load_scenario
 from repro.scenario.spec import (
@@ -539,16 +540,21 @@ class TestOneEventLoop:
         self, monkeypatch, scenario, core, relaxed
     ):
         """Only a vectorized colocated sessionless fleet bursts to the
-        next interaction event; the scalar oracle, session traces and
-        disaggregated fleets keep the strict ``peek_time`` horizon."""
-        calls = _count_calls(
+        next interaction event and plans macro-runs; the scalar oracle,
+        session traces and disaggregated fleets keep the strict
+        ``peek_time`` horizon and step every iteration."""
+        peeks = _count_calls(
             monkeypatch, EventCalendar, "peek_interaction_time"
         )
-        run_scenario(apply_core_mode(_loop_scenario(scenario), core))
+        plans = _count_calls(monkeypatch, Replica, "plan_run")
+        result = run_scenario(apply_core_mode(_loop_scenario(scenario), core))
         if relaxed:
-            assert calls[0] > 0
+            assert peeks[0] > 0
+            assert plans[0] > 0
         else:
-            assert calls[0] == 0
+            assert peeks[0] == 0
+            assert plans[0] == 0
+            assert result.summary.step_macro == {}
 
 
 def _many_tenant_spec(tenants: int = 5, requests: int = 12) -> ScenarioSpec:

@@ -204,12 +204,16 @@ class TestFleetVersion:
                 spec.fleet,
                 replicas=(
                     ReplicaSpec(count=1, max_batch_size=8),
-                    ReplicaSpec(count=1, max_batch_size=4),
+                    ReplicaSpec(
+                        count=1, max_batch_size=4, system="a100-attacc"
+                    ),
                 ),
             ),
         )
         fleet = FleetState(build_replicas(spec))
+        assert len(fleet._groups) == 2
         requests = build_requests(spec)[:4]
+        # Both lanes are idle, so their projections are input-sensitive.
         assert fleet.probe_min_batch(requests) is None
 
 

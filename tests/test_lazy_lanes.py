@@ -5,11 +5,9 @@ closed-form run passes foreign arrivals, and the fleet view computes the
 lane's counters only where a probe reads them (``FleetState.advance``),
 cutting a lane only when routing picks it or a deferral would tie it
 (``FleetState.cut`` / ``cut_ties``). The model those refinements answer
-to is the obviously right one: the scalar core with
-``Replica.compress_run`` patched to decline, so every iteration goes
-through ``on_step_done`` under the strict horizon, one calendar event
-at a time. The patch lives here only; no production switch turns
-macro-stepping off.
+to is the obviously right one: the scalar core, which never
+macro-steps, so every iteration goes through ``on_step_done`` under the
+strict horizon, one calendar event at a time.
 
 Two kinds of check:
 
@@ -61,10 +59,6 @@ from repro.serving.request import Request
 #: ClusterSummary fields that count what a core did, not what it
 #: simulated; they legitimately differ from the ground model.
 INSTRUMENTATION = ("router_cache", "probe_memo", "step_macro")
-
-
-def _declined(self, *args, **kwargs):
-    return None
 
 
 def _rebucketed(replica: Replica, bucket: int) -> Replica:
@@ -119,10 +113,8 @@ def _outputs(summary):
 def _ground_and_lazy(spec, **kwargs):
     """(ground model, vectorized core) summaries of one spec."""
     lazy = _simulate(spec, "vectorized", **kwargs)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Replica, "compress_run", _declined)
-        ground = _simulate(spec, "scalar", **kwargs)
-    assert not ground.step_macro.get("macro_steps"), ground.step_macro
+    ground = _simulate(spec, "scalar", **kwargs)
+    assert ground.step_macro == {}, ground.step_macro
     return ground, lazy
 
 
@@ -370,10 +362,7 @@ def _run_ties(requests, choices, backoff):
         )
         simulator = simulator_cls(_tie_replicas(core), router, admission)
         trace = [dataclasses.replace(request) for request in requests]
-        with pytest.MonkeyPatch.context() as patch:
-            if core == "scalar":
-                patch.setattr(Replica, "compress_run", _declined)
-            summary = simulator.run(trace)
+        summary = simulator.run(trace)
         records[core] = (router.seen, admission.seen, _outputs(summary))
         if core == "vectorized":
             assert summary.step_macro.get("lazy_runs", 0) > 0

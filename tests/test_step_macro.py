@@ -1,23 +1,26 @@
 """Macro-stepping: closed-form frozen-run compression, pinned exactly.
 
 When a replica's batch is *frozen* — nothing admittable, fixed TLP,
-deterministic per-slot speculation — the cluster cores compress whole
-runs of decoding iterations into one closed-form advance
-(:meth:`Replica.compress_run`). The contract is the same bit-identical
-one every core optimization carries: a macro-stepped run must be
-indistinguishable, in every output a study reads, from the per-iteration
-reference. This suite pins that contract two ways:
+deterministic per-slot speculation — the vectorized core on a colocated
+sessionless fleet prices whole runs of decoding iterations
+(:meth:`Replica.plan_run`) and commits them as one closed-form advance
+(:meth:`Replica.compress_run`). The scalar core steps every iteration.
+The contract is the same bit-identical one every core optimization
+carries: a macro-stepped run must be indistinguishable, in every output
+a study reads, from the per-iteration reference. This suite pins that
+contract two ways:
 
 * **Seeded fuzz** across routers x speculation (including the
   ``acceptance_rate=1.0`` boundary, where multi-token speculation
   becomes deterministic and macro-eligible) x sessions x disaggregated
   pools, all under ``context_mode="mean"`` so macro-stepping actually
-  engages — both cores must agree bit-for-bit.
-* **Unit pins on K's limiting terms**: a macro-step's length is
-  ``min(iterations to the first slot completion, iterations before the
-  next calendar event, the global iteration cap, the per-step bound)``
-  — each limit and its fallback counter is exercised directly, and a
-  macro-stepped replica is replayed against a per-iteration twin.
+  engages where it can — the macro-stepping vectorized core must agree
+  bit-for-bit with the per-iteration scalar core.
+* **Unit pins on K's limiting terms**: a planned run's length is
+  ``min(iterations to the first slot completion, the global iteration
+  cap, the per-step bound)`` — each limit and its fallback counter is
+  exercised directly, and whole and partial commits are replayed
+  against a per-iteration twin.
 """
 
 import dataclasses
@@ -113,14 +116,15 @@ def _run_both_cores(spec: ScenarioSpec):
 
 class TestMacroEngagement:
     def test_macro_steps_engage_and_match_on_mean_mode(self):
-        """The canonical case: frozen batches compress, outputs agree."""
+        """The canonical case: the vectorized core compresses frozen
+        batches, the scalar core steps every iteration, outputs agree."""
         spec = _mean_mode_scenario()
         scalar, vectorized = _run_both_cores(spec)
         assert aggregate_fields(vectorized) == aggregate_fields(scalar)
-        for result in (scalar, vectorized):
-            macro = result.summary.step_macro
-            assert macro.get("iterations_compressed", 0) > 0, macro
-            assert macro.get("macro_steps", 0) > 0, macro
+        assert scalar.summary.step_macro == {}
+        macro = vectorized.summary.step_macro
+        assert macro.get("iterations_compressed", 0) > 0, macro
+        assert macro.get("macro_steps", 0) > 0, macro
 
     def test_acceptance_one_boundary_is_macro_eligible(self):
         """acceptance_rate=1.0 makes tlp>1 deterministic: s tokens/slot,
@@ -187,11 +191,11 @@ class TestMacroFuzz:
 
     Every case runs ``context_mode="mean"`` (the macro-eligible mode)
     through both cores and demands bit-identical outputs; the
-    sampled axes cover the interactions the macro path must survive —
-    session follow-ups arriving mid-drain, disaggregated handoffs
-    ending bursts, deterministic speculation, every router. (The fuzz
-    test keeps its name from when a third, fleet-batched core sat
-    between the two.)
+    sampled axes cover deterministic speculation and every router on
+    the colocated sessionless fleets the vectorized core macro-steps,
+    and session follow-ups and disaggregated handoffs on the fleets
+    where both cores step every iteration. (The fuzz test keeps its
+    name from when a third, fleet-batched core sat between the two.)
     """
 
     @pytest.mark.parametrize("case_seed", range(8))
@@ -227,7 +231,8 @@ def _fresh_replica(
 
     The requests are enqueued directly (no router) and poked once, so
     the batch is mid-decode with one iteration in flight — exactly the
-    state :meth:`compress_run` is called in.
+    state :meth:`plan_run` is called in. ``spec`` defaults to the
+    vectorized core, so the replica is a ``VectorReplica``.
     """
     if spec is None:
         spec = _mean_mode_scenario()
@@ -239,6 +244,33 @@ def _fresh_replica(
     return replica
 
 
+def _step_twin(twin: Replica, iterations: int):
+    """Step ``twin`` ``iterations`` times from a completion at 1.0;
+    returns (last completed time, next completion time)."""
+    done_at = 1.0
+    for _ in range(iterations):
+        completed = done_at
+        done_at = twin.on_step_done(done_at)
+    return completed, done_at
+
+
+def _assert_same_state(replica: Replica, twin: Replica) -> None:
+    assert replica._iteration == twin._iteration
+    assert replica._remaining_tokens == twin._remaining_tokens
+    assert replica._active_context_sum == twin._active_context_sum
+    assert replica._pending == twin._pending
+    summary, twin_summary = replica.summary, twin.summary
+    assert summary.iterations == twin_summary.iterations
+    assert summary.decode_seconds == twin_summary.decode_seconds
+    assert summary.decode_energy == twin_summary.decode_energy
+    assert summary.tokens_generated == twin_summary.tokens_generated
+    assert summary.time_breakdown == twin_summary.time_breakdown
+    assert summary.energy_breakdown == twin_summary.energy_breakdown
+    assert dict(summary.fc_target_iterations) == dict(
+        twin_summary.fc_target_iterations
+    )
+
+
 class TestLimitingTerms:
     """Each of K's limiting terms, driven directly on one replica."""
 
@@ -247,62 +279,39 @@ class TestLimitingTerms:
         min_remaining = min(
             r.output_len - r.generated for r in replica.active
         )
-        compressed = replica.compress_run(1.0, None)
+        plan = replica.plan_run(1.0)
         macro = replica.step_macro
         if min_remaining - 1 >= MACRO_MIN_RUN:
-            assert compressed is not None
+            assert plan is not None
             # The run stops strictly before the earliest slot finishes:
             # exactly min_remaining - 1 iterations are compressed.
+            assert plan.cap == min_remaining - 1
+            next_done, watermark = replica.compress_run(plan, plan.cap)
             assert macro["iterations_compressed"] == min_remaining - 1
-            next_done, watermark = compressed
             assert watermark > 1.0
             assert next_done > watermark
         else:
-            assert compressed is None
+            assert plan is None
             assert macro["fallback_finish_due"] == 1
 
-    def test_near_horizon_falls_back(self):
-        replica = _fresh_replica()
-        pending_result, _tlp = replica._pending
-        # A horizon tighter than two further iterations cannot fit a
-        # macro run; the attempt must decline without mutating state.
-        iteration_before = replica._iteration
-        compressed = replica.compress_run(
-            1.0, 1.0 + 0.5 * pending_result.seconds
-        )
-        assert compressed is None
-        assert replica.step_macro["fallback_horizon"] == 1
-        assert replica._iteration == iteration_before
-
-    def test_horizon_caps_run_length_exactly(self):
-        """A horizon admitting k iterations compresses exactly the
-        iterations that complete strictly before it."""
+    def test_partial_commit_matches_per_iteration_twin(self):
+        """Committing only the first iterations of a plan — what a lazy
+        lane's cut does — leaves the replica where as many
+        per-iteration rounds would."""
         replica = _fresh_replica()
         twin = _fresh_replica()
-        # Per-iteration reference: walk the twin to find completion
-        # times, then set the horizon between the 3rd and 4th.
-        times = []
-        done_at = 1.0
-        for _ in range(6):
-            times.append(done_at)
-            done_at = twin.on_step_done(done_at)
-        # Completions at times[0..3] land strictly before the horizon
-        # (the in-flight one at ``now`` plus three more), times[4] does
-        # not — the macro run must process exactly those four.
-        horizon = times[4] - 1e-9
-        compressed = replica.compress_run(1.0, horizon)
-        assert compressed is not None
-        next_done, watermark = compressed
+        plan = replica.plan_run(1.0)
+        assert plan is not None and plan.cap > 4
+        next_done, watermark = replica.compress_run(plan, 4)
         assert replica.step_macro["iterations_compressed"] == 4
-        assert watermark == times[3]
-        assert next_done == times[4]
-        assert next_done >= horizon
+        assert (watermark, next_done) == _step_twin(twin, 4)
+        assert (watermark, next_done) == (plan.times[3], plan.times[4])
+        _assert_same_state(replica, twin)
 
     def test_iteration_cap_falls_back(self):
         replica = _fresh_replica()
         replica._iteration = MAX_ITERATIONS - 1
-        compressed = replica.compress_run(1.0, None)
-        assert compressed is None
+        assert replica.plan_run(1.0) is None
         assert replica.step_macro["fallback_iteration_cap"] == 1
 
     def test_admittable_waiting_request_falls_back(self):
@@ -316,8 +325,7 @@ class TestLimitingTerms:
         assert done_at is not None
         # Queue one more than poke admitted; batch (size 8) has room.
         replica.waiting.append(requests[2])
-        compressed = replica.compress_run(done_at, None)
-        assert compressed is None
+        assert replica.plan_run(done_at) is None
         assert replica.step_macro["fallback_admittable"] == 1
 
     def test_macro_run_matches_per_iteration_twin(self):
@@ -326,36 +334,17 @@ class TestLimitingTerms:
         number of on_step_done rounds would."""
         replica = _fresh_replica()
         twin = _fresh_replica()
-        compressed = replica.compress_run(1.0, None)
-        assert compressed is not None
-        next_done, watermark = compressed
+        plan = replica.plan_run(1.0)
+        assert plan is not None
+        next_done, watermark = replica.compress_run(plan, plan.cap)
         run = int(replica.step_macro["iterations_compressed"])
-        assert run >= MACRO_MIN_RUN
-        done_at = 1.0
-        for _ in range(run):
-            watermark_twin = done_at
-            done_at = twin.on_step_done(done_at)
-        assert watermark == watermark_twin
-        assert next_done == done_at
-        assert replica._iteration == twin._iteration
-        assert replica._remaining_tokens == twin._remaining_tokens
-        assert replica._active_context_sum == twin._active_context_sum
-        summary, twin_summary = replica.summary, twin.summary
-        assert summary.iterations == twin_summary.iterations
-        assert summary.decode_seconds == twin_summary.decode_seconds
-        assert summary.decode_energy == twin_summary.decode_energy
-        assert summary.tokens_generated == twin_summary.tokens_generated
-        assert summary.time_breakdown == twin_summary.time_breakdown
-        assert summary.energy_breakdown == twin_summary.energy_breakdown
-        assert dict(summary.fc_target_iterations) == dict(
-            twin_summary.fc_target_iterations
-        )
+        assert run == plan.cap >= MACRO_MIN_RUN
+        assert (watermark, next_done) == _step_twin(twin, run)
+        _assert_same_state(replica, twin)
 
     def test_macro_max_run_bounds_one_step(self):
         assert MACRO_MAX_RUN >= MACRO_MIN_RUN
         replica = _fresh_replica()
-        compressed = replica.compress_run(1.0, None)
-        if compressed is not None:
-            assert (
-                replica.step_macro["iterations_compressed"] <= MACRO_MAX_RUN
-            )
+        plan = replica.plan_run(1.0)
+        if plan is not None:
+            assert plan.cap <= MACRO_MAX_RUN
