@@ -50,6 +50,7 @@ from repro.scenario.spec import (
 from repro.serving.engine import MAX_ITERATIONS
 
 from tests.test_cluster_equivalence import aggregate_fields
+from tests.test_lazy_lanes import _rebucketed
 
 
 def _mean_mode_scenario(
@@ -225,7 +226,7 @@ class TestMacroFuzz:
 
 
 def _fresh_replica(
-    spec: ScenarioSpec = None, active: int = 4
+    spec: ScenarioSpec = None, active: int = 4, context_bucket: int = 1
 ) -> Replica:
     """One replica of ``spec`` with ``active`` requests decoding.
 
@@ -237,6 +238,8 @@ def _fresh_replica(
     if spec is None:
         spec = _mean_mode_scenario()
     replica = build_replicas(spec)[0]
+    if context_bucket != 1:
+        replica = _rebucketed(replica, context_bucket)
     for request in build_requests(spec)[:active]:
         replica.enqueue(request)
     done_at = replica.poke(0.0)
@@ -307,6 +310,27 @@ class TestLimitingTerms:
         assert (watermark, next_done) == _step_twin(twin, 4)
         assert (watermark, next_done) == (plan.times[3], plan.times[4])
         _assert_same_state(replica, twin)
+
+    @pytest.mark.parametrize("bucket", [1, 32])
+    def test_every_prefix_commit_matches_per_iteration_twin(self, bucket):
+        """Every commit length ``1..plan.cap`` leaves the replica where
+        as many per-iteration rounds would. A coarse context bucket
+        makes segments span several iterations, so prefixes also end
+        inside a segment and the in-flight price is taken mid-segment."""
+        twin = _fresh_replica(context_bucket=bucket)
+        plan = _fresh_replica(context_bucket=bucket).plan_run(1.0)
+        assert plan is not None
+        if bucket > 1:
+            assert max(plan.counts) > 1
+        done_at = 1.0
+        for run in range(1, plan.cap + 1):
+            completed = done_at
+            done_at = twin.on_step_done(done_at)
+            replica = _fresh_replica(context_bucket=bucket)
+            committed = replica.compress_run(replica.plan_run(1.0), run)
+            assert committed == (done_at, completed)
+            assert replica.step_macro["iterations_compressed"] == run
+            _assert_same_state(replica, twin)
 
     def test_iteration_cap_falls_back(self):
         replica = _fresh_replica()
