@@ -37,7 +37,7 @@ from typing import List, Optional
 from repro import __version__
 from repro.analysis.report import format_table
 from repro.cluster import available_routers
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
 from repro.models.config import available_models, get_model
 from repro.scenario import (
     ARRIVAL_PROCESSES,
@@ -334,10 +334,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     spec = scenario_from_cluster_args(args)
     if args.core:
         spec = apply_core_mode(spec, args.core)
-    try:
-        result = run_scenario(spec)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    result = run_scenario(spec)
     summary = result.summary
     _print_replica_table(
         summary,
@@ -361,13 +358,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if getattr(args, "core", ""):
         specs = [apply_core_mode(spec, args.core) for spec in specs]
     shards = getattr(args, "shards", 1)
-    try:
-        if shards > 1:
-            results = [run_scenario(spec, shards=shards) for spec in specs]
-        else:
-            results = run_scenarios(specs, workers=args.workers)
-    except ConfigurationError as exc:
-        raise SystemExit(str(exc)) from None
+    if shards > 1:
+        results = [run_scenario(spec, shards=shards) for spec in specs]
+    else:
+        results = run_scenarios(specs, workers=args.workers)
     for result in results:
         spec = result.spec
         summary = result.summary
@@ -845,10 +839,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    Bad input — an invalid configuration or a workload that does not fit
+    the system — exits with the error's message instead of a traceback;
+    any other error (a simulation fault among them) keeps its traceback.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ConfigurationError, CapacityError) as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -61,9 +61,10 @@ from repro.systems.baselines import A100AttAccSystem, AttAccOnlySystem
 from repro.systems.batch import price_steps_at
 from repro.systems.papi import PAPISystem, PIMOnlyPAPISystem
 
-#: Step-price memo bound per replica (see ``VectorReplica``). Entries are
-#: pure functions of their key, so clearing a full memo can only cost
-#: recomputation, never correctness.
+#: Per-request step-price memo bound (see ``VectorReplica``; mean-mode
+#: prices live in price lines, as long as the largest mean context).
+#: Entries are pure functions of their key, so clearing a full memo can
+#: only cost recomputation, never correctness.
 STEP_MEMO_ENTRIES = 1 << 16
 
 #: Dense-table index of each FC placement a probe can resolve (FC runs
@@ -106,14 +107,19 @@ class VectorReplica(Replica):
       the step-done loop touches plain ints instead of request
       attributes, and :class:`Request` objects are only written when a
       request finishes.
-    * Step pricing goes through a per-replica memo keyed by
-      ``(fc target code, rlp, tlp, context key)`` in front of the shared
-      step cache. The context key is the bucketed mean in mean mode; in
-      per-request mode it is the bucketed context total on a serial
+    * Step pricing is cached in front of the shared step cache, and the
+      caches are shared across the replica's price group (see
+      :meth:`FleetState._share_price_memos`). In mean mode a step reads
+      the :class:`~repro.cluster.replica.PriceLine` of its ``(fc target
+      code, rlp, tlp)`` at its raw mean context — the same line the
+      macro-run planner gathers whole runs from, so the per-iteration
+      path and a gathered run share one cache and one result object per
+      price. In per-request mode a memo is keyed by ``(fc target code,
+      rlp, tlp, context key)``: the bucketed context total on a serial
       system (at bucket 1 the ``_active_context_sum`` counter, so no
       per-step pass over the slots) and every slot's context on a
-      pipelined one. A price is a pure function of that key (see module
-      docstring), so the memo is exact.
+      pipelined one. A price is a pure function of its key (see module
+      docstring), so both caches are exact.
     * The runtime monitor is fed the *count* of finished requests
       (:meth:`~repro.systems.base.ServingSystem.observe_finished`)
       instead of a per-request output vector.
@@ -403,10 +409,11 @@ class VectorReplica(Replica):
         # right after the TLP register write above), and the price the
         # pricer computes is a pure function of (target, rlp, tlp,
         # contexts) — the step-cost cache's own key discipline. In mean
-        # mode the key carries the derived mean context, not the raw sum:
-        # ``price_mean_total``'s first move is exactly this arithmetic,
-        # so every context sum collapsing to one mean shares one entry —
-        # and the memo can be shared across a whole price group (see
+        # mode the price line of (target, rlp, tlp) is indexed by the
+        # derived raw mean context, not the raw sum: ``price_mean_total``'s
+        # first move is exactly this arithmetic, so every context sum
+        # collapsing to one mean shares one slot — and the lines can be
+        # shared across a whole price group (see
         # :meth:`FleetState._share_price_memos`). In per-request mode a
         # serial step's price reads only the bucketed context total (see
         # :class:`~repro.serving.engine.StepPricer`), which at bucket 1
@@ -415,15 +422,10 @@ class VectorReplica(Replica):
         target = self.system.plan_fc_target(rlp, tlp)
         code = 0 if target is PlacementTarget.PU else 1
         if pricer.context_mode == "mean":
-            total = self._active_context_sum
-            key = (code, rlp, tlp, max(1, round(total / rlp)))
-            memo = self._price_memo
-            result = memo.get(key)
-            if result is None:
-                result = pricer.price_mean_total(rlp, tlp, total)
-                if len(memo) >= STEP_MEMO_ENTRIES:
-                    memo.clear()
-                memo[key] = result
+            line, price = self._price_line(code, rlp, tlp)
+            result = line.lookup(
+                max(1, round(self._active_context_sum / rlp)), price
+            )
         else:
             if not self.system.is_serial(rlp):
                 context = tuple(self._slot_context)
@@ -462,30 +464,6 @@ class VectorReplica(Replica):
             rem - per_slot for rem in self._slot_remaining
         ]
         self._slot_context = [ctx + per_slot for ctx in self._slot_context]
-
-    def _macro_pricer(self, rlp: int, tlp: int):
-        """Layer the per-replica step memo over the run pricer.
-
-        Keys match :meth:`_schedule_step`'s mean-mode discipline —
-        ``(target code, rlp, tlp, raw mean)`` — so a macro-run and the
-        per-iteration path populate one shared (group-shareable) memo.
-        """
-        price_mean = self.pricer.run_pricer(rlp, tlp)
-        target = self.system.plan_fc_target(rlp, tlp)
-        code = 0 if target is PlacementTarget.PU else 1
-        memo = self._price_memo
-
-        def price(raw_mean: int):
-            key = (code, rlp, tlp, raw_mean)
-            result = memo.get(key)
-            if result is None:
-                result = price_mean(raw_mean)
-                if len(memo) >= STEP_MEMO_ENTRIES:
-                    memo.clear()
-                memo[key] = result
-            return result
-
-        return price
 
 
 class LazyRun:
@@ -964,7 +942,9 @@ class FleetState:
         ]
 
     def _share_price_memos(self) -> None:
-        """Give each price group's vector replicas one shared step memo.
+        """Give each price group's vector replicas one set of step caches:
+        the mean-mode price lines, the per-request step memo, the
+        prefill memo and the capacity verdicts.
 
         A step price is a pure function of ``(planned target, rlp, tlp,
         context key)`` on a configuration-equal system serving the same
@@ -973,12 +953,14 @@ class FleetState:
         group member's pricer would return (the shared step-cost cache
         relies on the same interchangeability). Sharing turns the
         per-replica warmup (each replica missing the same operating
-        points) into one warm table per group.
+        points) into one warm line or table per group. Misses are still
+        priced by the asking replica's own pricer.
         """
-        shared = {group: ({}, {}, set()) for group in self._groups}
+        shared = {group: ({}, {}, {}, set()) for group in self._groups}
         for replica, group in zip(self._replicas, self._lane_groups):
             if isinstance(replica, VectorReplica):
                 (
+                    replica._price_lines,
                     replica._price_memo,
                     replica._prefill_memo,
                     replica._capacity_ok,

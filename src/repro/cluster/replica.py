@@ -31,13 +31,14 @@ per-iteration ground model.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
+from itertools import repeat
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster.prefixcache import PrefixCache
+from repro.core.placement import PlacementTarget
 from repro.core.scheduler import EOS_TOKEN
 from repro.errors import ConfigurationError, SimulationError
 from repro.models.config import ModelConfig
@@ -66,11 +67,106 @@ MACRO_MIN_RUN = 2
 #: as several consecutive macro-steps.
 MACRO_MAX_RUN = 16384
 
-#: Runs at or below this length use plain int/float arithmetic instead
-#: of the numpy pipeline: array allocation and ufunc dispatch cost more
-#: than they save until runs reach tens of iterations, and short runs
-#: dominate (a slot finishes every ~mean_output/batch iterations).
-MACRO_SMALL_RUN = 64
+#: Runs at or below this length are priced, timed and folded with plain
+#: int/float arithmetic, one iteration at a time; longer runs gather
+#: their prices from a :class:`PriceLine` as one block and time and fold
+#: it with one ``np.add.accumulate`` each. Set from a micro-benchmark of
+#: plan plus commit: on warm lines the two cost the same at this length
+#: and the gathered block less beyond it; on cold lines both pay the
+#: same per priced mean, and the block's fixed cost is paid once per run.
+MACRO_SMALL_RUN = 16
+
+
+class PriceLine:
+    """Mean-mode step prices of one ``(FC target code, rlp, tlp)``,
+    indexed by raw mean context.
+
+    A mean-mode step's price is a pure function of its planned FC
+    target, rlp, tlp and bucketed mean context on one system
+    configuration and workload, so a line is a dense, never-evicted
+    cache of them: slot ``m`` holds the :class:`IterationResult` of raw
+    mean context ``m`` (``None`` until priced) and, once a run has
+    gathered it, its fold row ``[seconds, energy_joules,
+    *time_breakdown values, *energy_breakdown values]`` (``NaN`` until
+    then). Every result of a line shares its FC target and breakdown
+    keys, so all of its rows share one layout. The line grows
+    geometrically to cover the largest mean asked for, keeping what it
+    holds.
+    """
+
+    __slots__ = ("results", "rows")
+
+    def __init__(self) -> None:
+        self.results = np.empty(0, dtype=object)
+        self.rows: Optional[np.ndarray] = None
+
+    def lookup(self, raw_mean: int, price) -> IterationResult:
+        """The result at ``raw_mean``, priced by ``price(raw_mean)`` and
+        kept when unseen."""
+        results = self.results
+        if raw_mean < len(results):
+            result = results[raw_mean]
+            if result is not None:
+                return result
+        else:
+            self._grow(raw_mean)
+        result = self.results[raw_mean] = price(raw_mean)
+        return result
+
+    def gather(
+        self, raw_means: np.ndarray, price, bucketize
+    ) -> Tuple[List[IterationResult], np.ndarray]:
+        """Results (a list) and fold rows of the non-decreasing
+        ``raw_means``.
+
+        One fancy index each; only means without a row are visited one
+        by one, and only unseen ones are priced (by ``price``), once per
+        run of them that ``bucketize`` maps to one priced context.
+        """
+        if raw_means[-1] >= len(self.results):
+            self._grow(int(raw_means[-1]))
+        rows = self.rows
+        if rows is not None:
+            block = rows[raw_means]
+            unset = np.isnan(block[:, 0])
+            if not unset.any():
+                return self.results[raw_means].tolist(), block
+            missing = np.unique(raw_means[unset]).tolist()
+        else:
+            missing = np.unique(raw_means).tolist()
+        results = self.results
+        values = []
+        priced_context = None
+        for mean in missing:
+            result = results[mean]
+            if result is None:
+                context = bucketize(mean)
+                if context != priced_context:
+                    priced_context = context
+                    priced = price(mean)
+                result = results[mean] = priced
+            values.append(
+                (result.seconds, result.energy_joules)
+                + tuple(result.time_breakdown.values())
+                + tuple(result.energy_breakdown.values())
+            )
+        if rows is None:
+            rows = self.rows = np.full(
+                (len(results), len(values[0])), np.nan, dtype=np.float64
+            )
+        rows[missing] = values
+        return results[raw_means].tolist(), rows[raw_means]
+
+    def _grow(self, top: int) -> None:
+        size = len(self.results)
+        grown = max(2 * size, top + 1)
+        results = np.empty(grown, dtype=object)
+        results[:size] = self.results
+        self.results = results
+        if self.rows is not None:
+            rows = np.full((grown, self.rows.shape[1]), np.nan)
+            rows[:size] = self.rows
+            self.rows = rows
 
 
 class RunPlan:
@@ -91,19 +187,23 @@ class RunPlan:
             replica's remaining-token and active-context counters by it.
         rlp / tlp / steady / draft: The frozen batch shape, per-slot
             credit and draft overhead per iteration.
-        first / starts / counts / results: The in-flight iteration's
-            price, then each context segment's first price index, length
-            and price (price index ``j`` prices iteration ``j + 2``).
+        results: ``cap + 1`` prices: ``results[i]`` is iteration
+            ``i + 1``'s, so ``results[0]`` is the one in flight when the
+            run was planned and ``results[cap]`` the one the whole run
+            leaves in flight.
+        rows: ``None`` for a run of at most :data:`MACRO_SMALL_RUN`
+            iterations; otherwise the ``(cap + 1, columns)`` block of the
+            results' price-line fold rows, which a commit folds.
     """
 
     __slots__ = (
         "start", "cap", "rlp", "tlp", "per_iteration", "steady", "draft",
-        "first", "starts", "counts", "results", "times",
+        "results", "rows", "times",
     )
 
     def __init__(
-        self, start, cap, rlp, tlp, per_iteration, steady, draft, first,
-        starts, counts, results, times,
+        self, start, cap, rlp, tlp, per_iteration, steady, draft, results,
+        rows, times,
     ) -> None:
         self.start = start
         self.cap = cap
@@ -112,10 +212,8 @@ class RunPlan:
         self.per_iteration = per_iteration
         self.steady = steady
         self.draft = draft
-        self.first = first
-        self.starts: List[int] = starts
-        self.counts: List[int] = counts
         self.results: List[IterationResult] = results
+        self.rows: Optional[np.ndarray] = rows
         self.times: List[float] = times
 
 
@@ -275,11 +373,13 @@ class Replica:
         self.step_macro: Dict[str, int] = {}
         self._macro_off = False
         self._macro_steady: Optional[int] = None
-        # Pricing closures are loop-invariant per (rlp, tlp): the fc
-        # target, cache scope, and memo object they capture are stable
-        # for a replica's lifetime, so rebuilding them per macro-run
-        # (closure construction + scope resolution) is pure overhead.
-        self._macro_pricer_cache: Dict[Tuple[int, int], Any] = {}
+        # Mean-mode price lines keyed by (FC target code, rlp, tlp) (a
+        # vectorized fleet shares one dict per price group), and this
+        # replica's run-pricer closure per key: the FC target, cache
+        # scope and workload name a closure hoists are invariant under
+        # one key, so each is built once.
+        self._price_lines: Dict[Tuple[int, int, int], PriceLine] = {}
+        self._run_pricers: Dict[Tuple[int, int, int], Any] = {}
 
     @property
     def workload_name(self) -> str:
@@ -512,8 +612,15 @@ class Replica:
         iteration. Returns ``None`` when the batch is not (each decline
         counted in ``step_macro``); otherwise the run up to the first
         slot completion, the iteration cap or :data:`MACRO_MAX_RUN`,
-        priced and timed. Mutates no simulation state; commit the plan,
-        or a prefix of it, through :meth:`compress_run`.
+        priced and timed. Prices come off the price line of the batch's
+        ``(FC target code, rlp, tlp)``: a run of at most
+        :data:`MACRO_SMALL_RUN` iterations looks one up per context
+        segment and times itself one add at a time; a longer one
+        gathers its prices and fold rows with one fancy index over its
+        raw means (:meth:`PriceLine.gather`, pricing only unseen means)
+        and times them with one accumulate. Mutates no simulation state
+        (the line is a cache); commit the plan, or a prefix of it,
+        through :meth:`compress_run`.
         """
         if self._macro_off:
             return None
@@ -564,36 +671,31 @@ class Replica:
         draft = self.speculation.draft_overhead_s(tlp)
         rlp = len(active)
         per_iteration = rlp * steady
-        pricer_key = (rlp, tlp)
-        price = self._macro_pricer_cache.get(pricer_key)
-        if price is None:
-            price = self._macro_pricer(rlp, tlp)
-            self._macro_pricer_cache[pricer_key] = price
+        # The run prices on the in-flight iteration's line: a frozen
+        # batch's planned FC target stays put.
+        line, price = self._price_line(
+            0 if result_first.fc_target is PlacementTarget.PU else 1, rlp, tlp
+        )
 
-        # Price iterations 2..cap+1 (cap completion candidates plus the
-        # run's outgoing in-flight step). The context total entering
-        # iteration i is total_0 + (i-1) * per_iteration; its raw mean
-        # and bucketized mean replicate price_mean_total's arithmetic
-        # exactly (np.round is round-half-even, bitwise equal to the
-        # builtin on these int-ratio inputs, so the short-run scalar
-        # path below and the long-run vector path are interchangeable).
+        # Price iterations 1..cap+1 (the one in flight, cap completion
+        # candidates, and the run's outgoing in-flight step). The
+        # context total entering iteration i is total_0 + (i-1) *
+        # per_iteration; its raw mean replicates price_mean_total's
+        # arithmetic exactly (np.rint is round-half-even, bitwise equal
+        # to the builtin on these int-ratio inputs, so the short-run
+        # scalar path below and the gathered path are interchangeable).
         total_0 = self._active_context_sum
-        bucket = self.pricer.context_bucket
         if cap <= MACRO_SMALL_RUN:
-            # Scalar path: typical runs are a handful of iterations
-            # (completions recur every ~1/steady_output_fraction steps),
-            # where the vector pipeline's array setup costs more than it
-            # saves. Plain int/float arithmetic is the reference
-            # computation itself.
-            seg_starts: List[int] = []
-            seg_counts: List[int] = []
-            segment_results: List[IterationResult] = []
-            times_list = [now]
+            # Scalar path: one line lookup per context-bucket segment,
+            # one float add per iteration — the reference computation.
+            bucket = self.pricer.context_bucket
+            lookup = line.lookup
+            results = [result_first]
+            times = [now]
             clock = now
             total = total_0
             previous_mean = -1
-            step_duration = 0.0
-            for index in range(cap):
+            for _ in range(cap):
                 total += per_iteration
                 raw_mean = round(total / rlp)
                 if raw_mean < 1:
@@ -606,53 +708,37 @@ class Replica:
                         mean = bucket
                 if mean != previous_mean:
                     previous_mean = mean
-                    seg_starts.append(index)
-                    seg_counts.append(1)
-                    result = price(raw_mean)
-                    segment_results.append(result)
+                    result = lookup(raw_mean, price)
                     step_duration = draft + result.seconds
-                else:
-                    seg_counts[-1] += 1
+                results.append(result)
                 clock = clock + step_duration
-                times_list.append(clock)
+                times.append(clock)
+            rows = None
         else:
-            totals = (
-                total_0
-                + np.arange(1, cap + 1, dtype=np.int64) * per_iteration
+            # Gathered path: the run's prices and fold rows come off its
+            # price line in one fancy index over the raw means, and the
+            # completion times tau_{i+1} = tau_i + (seconds_{i+1} + draft)
+            # — the event loop's one-add-per-iteration chain — are one
+            # sequential accumulate.
+            means = np.arange(
+                total_0,
+                total_0 + (cap + 1) * per_iteration,
+                per_iteration,
+                dtype=np.int64,
+            ) / rlp
+            np.rint(means, out=means)
+            np.maximum(means, 1.0, out=means)
+            results, rows = line.gather(
+                means.astype(np.int64), price, self.pricer._bucketize
             )
-            raw_means = np.maximum(np.round(totals / rlp), 1.0).astype(
-                np.int64
-            )
-            if bucket <= 1:
-                bucket_means = raw_means
-            else:
-                bucket_means = np.maximum(
-                    np.round(raw_means / bucket).astype(np.int64) * bucket,
-                    bucket,
-                )
-            boundaries = (
-                np.flatnonzero(bucket_means[1:] != bucket_means[:-1]) + 1
-            )
-            starts = np.concatenate(([0], boundaries))
-            counts = np.diff(np.concatenate((starts, [cap])))
-            segment_results = [price(int(raw_means[s])) for s in starts]
-
-            # Completion times: tau_1 = now, tau_{i+1} = tau_i + (draft
-            # + seconds_{i+1}) — the same one-add-per-iteration chain
-            # the event loop performs, as one sequential accumulate.
-            segment_durations = np.array(
-                [draft + result.seconds for result in segment_results]
-            )
-            times = np.empty(cap + 1, dtype=np.float64)
-            times[0] = now
-            times[1:] = np.repeat(segment_durations, counts)
-            np.add.accumulate(times, out=times)
-            seg_starts = starts.tolist()
-            seg_counts = counts.tolist()
-            times_list = times.tolist()
+            chain = np.empty(cap + 1, dtype=np.float64)
+            chain[0] = now
+            np.add(rows[1:, 0], draft, out=chain[1:])
+            np.add.accumulate(chain, out=chain)
+            times = chain.tolist()
         return RunPlan(
-            now, cap, rlp, tlp, per_iteration, steady, draft, result_first,
-            seg_starts, seg_counts, segment_results, times_list,
+            now, cap, rlp, tlp, per_iteration, steady, draft, results, rows,
+            times,
         )
 
     def compress_run(self, plan: RunPlan, run: int) -> Tuple[float, float]:
@@ -660,18 +746,25 @@ class Replica:
 
         ``plan`` is a run :meth:`plan_run` priced from this replica's
         current state, its first iteration in flight; ``1 <= run <=
-        plan.cap``. The iterations' prices (one per context-bucket
-        segment) and completion times (one sequential float chain,
-        bit-identical to the per-iteration adds) come from the plan, and
-        every counter the per-iteration path would have touched is
-        folded at once: the replica ends as ``run`` :meth:`on_step_done`
-        rounds would leave it.
+        plan.cap``, or :class:`SimulationError` is raised before any
+        state changes. The iterations' prices and completion times (one
+        sequential float chain, bit-identical to the per-iteration adds)
+        come from the plan, and every counter the per-iteration path
+        would have touched is folded at once: the replica ends as
+        ``run`` :meth:`on_step_done` rounds would leave it. A run longer
+        than :data:`MACRO_SMALL_RUN` folds the first ``run`` rows of the
+        plan's gathered block with one accumulate.
 
         Returns ``(next_done_at, last_completed_at)``: the completion
         time of the newly scheduled (still in-flight) iteration and of
         the run's last *completed* iteration (the caller's makespan
         watermark).
         """
+        if not 1 <= run <= plan.cap:
+            raise SimulationError(
+                f"replica {self.replica_id}: cannot commit {run} "
+                f"iterations of a {plan.cap}-iteration run"
+            )
         # Commit: replicate every side effect of `run` on_step_done +
         # _schedule_step rounds. No request finishes, so the slot state
         # advances uniformly and the monitor sees finish-free batches.
@@ -708,34 +801,29 @@ class Replica:
                 self._active_expert_sum = float(chain[-1])
         self.system.observe_steady(run, rlp)
 
-        # Fold completed iterations 1..run: the in-flight result, then
-        # the priced segments truncated to the run length.
-        segment_results = plan.results
-        fold_segments: List[Tuple[IterationResult, int]] = [(plan.first, 1)]
-        needed = run - 1
-        for index, count in enumerate(plan.counts):
-            if needed <= 0:
-                break
-            take = count if count < needed else needed
-            fold_segments.append((segment_results[index], take))
-            needed -= take
+        # Fold completed iterations 1..run, one (result, 1) pair each.
+        done = plan.results[:run]
+        rows = plan.rows
+        if rows is not None:
+            rows = rows[:run] if run > MACRO_SMALL_RUN else None
         summary = self.summary
         if summary.detail == "full":
             records = summary.records
             iteration = self._iteration
-            for result, count in fold_segments:
-                for _ in range(count):
-                    records.append(
-                        IterationRecord(
-                            iteration=iteration,
-                            result=result,
-                            tokens_accepted=per_iteration,
-                            rlp_before=rlp,
-                            rlp_after=rlp,
-                        )
+            for result in done:
+                records.append(
+                    IterationRecord(
+                        iteration=iteration,
+                        result=result,
+                        tokens_accepted=per_iteration,
+                        rlp_before=rlp,
+                        rlp_after=rlp,
                     )
-                    iteration += 1
-        summary.fold_run_segments(fold_segments, per_iteration)
+                )
+                iteration += 1
+        summary.fold_run_segments(
+            list(zip(done, repeat(1))), per_iteration, rows
+        )
         if draft != 0.0:
             if run <= MACRO_SMALL_RUN:
                 draft_total = summary.draft_seconds
@@ -750,16 +838,27 @@ class Replica:
                 summary.draft_seconds = float(chain[-1])
         self.tlp_trace.values.extend([tlp] * run)
         self._iteration += run
-        # Iteration run+1 leaves in flight; its segment holds price index
-        # run-1 (index j prices iteration j+2).
-        segment_index = bisect_right(plan.starts, run - 1) - 1
-        self._pending = (segment_results[segment_index], tlp)
+        # Iteration run+1 leaves in flight.
+        self._pending = (plan.results[run], tlp)
         counters = self.step_macro
         counters["macro_steps"] = counters.get("macro_steps", 0) + 1
         counters["iterations_compressed"] = (
             counters.get("iterations_compressed", 0) + run
         )
         return plan.times[run], plan.times[run - 1]
+
+    def _price_line(self, code: int, rlp: int, tlp: int):
+        """The mean-mode price line of ``(code, rlp, tlp)`` and this
+        replica's pricer for its misses (see
+        :meth:`StepPricer.run_pricer`)."""
+        key = (code, rlp, tlp)
+        line = self._price_lines.get(key)
+        if line is None:
+            line = self._price_lines[key] = PriceLine()
+        price = self._run_pricers.get(key)
+        if price is None:
+            price = self._run_pricers[key] = self.pricer.run_pricer(rlp, tlp)
+        return line, price
 
     def _macro_eligibility(self) -> Optional[str]:
         """Why this replica can never macro-step, or ``None`` if it can.
@@ -794,12 +893,6 @@ class Replica:
         """
         for request in self.active:
             request.generated += per_slot
-
-    def _macro_pricer(self, rlp: int, tlp: int):
-        """Mean-mode pricing callable for one frozen run (see
-        :meth:`StepPricer.run_pricer`); slot-mirroring subclasses layer
-        their per-replica memo on top."""
-        return self.pricer.run_pricer(rlp, tlp)
 
     def _prefill_done(self, now: float) -> Optional[float]:
         """A prefill-role batch reached first token; hand off or finish.

@@ -88,8 +88,8 @@ def build_replicas(spec: ScenarioSpec) -> List[Replica]:
     once per replica. Cached results are pure functions of the
     configuration and the step key (which pins the FC placement), so
     outputs are unchanged. Vector replicas get none: each price group
-    already shares a step memo over the same keys, in front of where
-    the cache would sit, so the cache could only miss.
+    already shares price lines and a step memo over the same keys, in
+    front of where the cache would sit, so the cache could only miss.
     """
     vectorized = spec.fleet.core_mode == "vectorized"
     cache = (

@@ -744,6 +744,8 @@ class ScenarioSpec(SpecBase):
                 f"unsupported schema version {self.version!r} "
                 f"(this build reads {SCENARIO_SCHEMA_VERSION})",
             )
+        if self.seed < 0:
+            _fail("seed", "must be non-negative")
         self.workload.validate("workload")
         self.fleet.validate("fleet")
         if not self.tenants:

@@ -91,6 +91,8 @@ class DatasetSpec:
         """Draw ``count`` requests with seeded, reproducible lengths."""
         if count <= 0:
             raise ConfigurationError("count must be positive")
+        if seed < 0:
+            raise ConfigurationError("seed must be non-negative")
         rng = np.random.default_rng(seed)
         inputs = self._sample_lengths(rng, self.input_median, self.input_sigma, count)
         outputs = self._sample_lengths(

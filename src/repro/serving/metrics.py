@@ -13,12 +13,6 @@ from repro.systems.base import IterationResult
 #: Supported metric-retention modes (see :attr:`RunSummary.detail`).
 DETAIL_MODES = ("full", "aggregate")
 
-#: Macro-run folds at or below this many iterations loop the reference
-#: :meth:`RunSummary.fold_iteration` instead of building the accumulate
-#: matrix — the matrix's allocation/stack/repeat setup only amortizes
-#: over runs of tens of iterations, and short runs dominate real traces.
-FOLD_LOOP_MAX = 64
-
 
 def latency_percentile_of(
     latencies: Sequence[float],
@@ -173,118 +167,69 @@ class RunSummary:
         for key, value in energy_items:
             energy_breakdown[key] = energy_breakdown.get(key, 0.0) + value
 
-    @staticmethod
-    def _fold_row_of(result: IterationResult):
-        """Cache a result's aggregates as a flat float64 row.
-
-        Row layout: ``[seconds, energy_joules, *time_values,
-        *energy_values]`` with the key order captured alongside. Cached on
-        the (frozen, memoized) result instance like ``_fold_items`` so a
-        macro-run touches each distinct result once.
-        """
-        cached = getattr(result, "_fold_vec", None)
-        if cached is None:
-            time_items = tuple(result.time_breakdown.items())
-            energy_items = tuple(result.energy_breakdown.items())
-            row = np.array(
-                [result.seconds, result.energy_joules]
-                + [value for _, value in time_items]
-                + [value for _, value in energy_items],
-                dtype=np.float64,
-            )
-            cached = (
-                result.fc_target._value_,
-                tuple(key for key, _ in time_items),
-                tuple(key for key, _ in energy_items),
-                row,
-            )
-            object.__setattr__(result, "_fold_vec", cached)
-        return cached
-
     def fold_run(
         self, result: IterationResult, count: int, tokens_accepted: int
     ) -> None:
-        """Fold ``count`` identical iterations in one closed-form step.
-
-        Bit-identical to calling :meth:`fold_iteration` ``count`` times
-        with the same arguments: each float aggregate is advanced with a
-        sequential ``np.add.accumulate`` chain whose additions happen in
-        the same order (and therefore with the same roundings) as the
-        per-iteration ``+=`` chain. ``tokens_accepted`` is per iteration.
-        """
+        """Fold ``count`` identical iterations (one segment of
+        :meth:`fold_run_segments`); ``tokens_accepted`` is per
+        iteration."""
         self.fold_run_segments(((result, count),), tokens_accepted)
 
     def fold_run_segments(
         self,
         segments: Sequence[Tuple[IterationResult, int]],
         tokens_accepted: int,
+        rows: Optional[np.ndarray] = None,
     ) -> None:
         """Fold a macro-run of consecutive constant-cost segments.
 
         ``segments`` is an ordered sequence of ``(result, count)`` pairs:
         the run executed ``count`` iterations priced at ``result``, then
-        moved to the next segment (context growth crossed a bucket
-        boundary). All segments of one frozen run share the placement
-        target and breakdown keys; if a caller ever hands mixed segments,
-        each is folded separately to preserve exactness.
+        moved to the next segment. Without ``rows`` each iteration folds
+        through :meth:`fold_iteration`, the reference computation.
+
+        ``rows``, when given, holds the run's fold rows, one per
+        iteration, as a price line (``repro.cluster.replica.PriceLine``)
+        lays them out: ``[seconds, energy_joules, *time_breakdown values,
+        *energy_breakdown values]``, in the first result's key order
+        (every row of a line shares one FC target and key layout). They
+        fold with one sequential ``np.add.accumulate`` per aggregate,
+        whose additions happen in the per-iteration ``+=`` chain's order
+        and so round identically.
         """
-        counts = [count for _, count in segments]
-        total = sum(counts)
-        if total <= 0 or any(count <= 0 for count in counts):
-            raise ConfigurationError("segment counts must be positive")
-        if total <= FOLD_LOOP_MAX:
-            # Short runs: assembling the accumulate matrix costs more
-            # than the per-iteration folds it replaces — and looping
-            # :meth:`fold_iteration` IS the reference computation, so
-            # there is nothing to prove about this branch's exactness.
+        if rows is None:
             fold = self.fold_iteration
             for result, count in segments:
+                if count <= 0:
+                    raise ConfigurationError("segment counts must be positive")
                 for _ in range(count):
                     fold(result, tokens_accepted)
             return
-        folded = [self._fold_row_of(result) for result, _ in segments]
-        target, time_keys, energy_keys, _ = folded[0]
-        if any(
-            entry[0] != target
-            or entry[1] != time_keys
-            or entry[2] != energy_keys
-            for entry in folded[1:]
-        ):
-            for result, count in segments:
-                self.fold_run(result, count, tokens_accepted)
-            return
-        base = np.stack([entry[3] for entry in folded])
-        rows = np.repeat(base, counts, axis=0) if max(counts) > 1 else base
-        columns = rows.shape[1]
-        mat = np.empty((total + 1, columns), dtype=np.float64)
+        first = segments[0][0]
+        time_keys = first.time_breakdown.keys()
+        energy_keys = first.energy_breakdown.keys()
         time_breakdown = self.time_breakdown
         energy_breakdown = self.energy_breakdown
-        mat[0, 0] = self.decode_seconds
-        mat[0, 1] = self.decode_energy
-        col = 2
-        for key in time_keys:
-            mat[0, col] = time_breakdown.get(key, 0.0)
-            col += 1
-        for key in energy_keys:
-            mat[0, col] = energy_breakdown.get(key, 0.0)
-            col += 1
+        start = [self.decode_seconds, self.decode_energy]
+        start += [time_breakdown.get(key, 0.0) for key in time_keys]
+        start += [energy_breakdown.get(key, 0.0) for key in energy_keys]
+        total = len(rows)
+        mat = np.empty((total + 1, len(start)), dtype=np.float64)
+        mat[0] = start
         mat[1:] = rows
         np.add.accumulate(mat, axis=0, out=mat)
-        final = mat[-1]
+        final = mat[-1].tolist()
         self.iterations += total
         self.tokens_generated += tokens_accepted * total
+        target = first.fc_target._value_
         self.fc_target_iterations[target] = (
             self.fc_target_iterations.get(target, 0) + total
         )
-        self.decode_seconds = float(final[0])
-        self.decode_energy = float(final[1])
-        col = 2
-        for key in time_keys:
-            time_breakdown[key] = float(final[col])
-            col += 1
-        for key in energy_keys:
-            energy_breakdown[key] = float(final[col])
-            col += 1
+        self.decode_seconds = final[0]
+        self.decode_energy = final[1]
+        split = 2 + len(time_keys)
+        time_breakdown.update(zip(time_keys, final[2:split]))
+        energy_breakdown.update(zip(energy_keys, final[split:]))
 
     @property
     def total_seconds(self) -> float:

@@ -6,7 +6,9 @@ import re
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.errors import SimulationError
 
 SCENARIOS = (
     pathlib.Path(__file__).resolve().parents[1] / "examples" / "scenarios"
@@ -65,6 +67,62 @@ NON_FINITE_INPUTS = [
         lambda tmp_path: ["cluster", "--rate", "nan", "--requests", "8"],
         "tenants[0].traffic.rate_per_s",
         id="cluster-rate-nan",
+    ),
+]
+
+
+#: (argv factory, message) pairs: user-input errors the CLI must report
+#: as a one-line exit, not a traceback.
+BAD_INPUTS = [
+    pytest.param(
+        lambda tmp_path: ["serve", "--batch", "0"],
+        "count must be positive",
+        id="serve-batch-0",
+    ),
+    pytest.param(
+        lambda tmp_path: ["serve", "--spec", "0"],
+        "speculation_length must be positive",
+        id="serve-spec-0",
+    ),
+    pytest.param(
+        lambda tmp_path: ["serve", "--model", "nope"],
+        "unknown model 'nope'",
+        id="serve-unknown-model",
+    ),
+    pytest.param(
+        lambda tmp_path: ["serve", "--batch", "4096", "--model", "gpt3-175b"],
+        "KV cache needs",
+        id="serve-over-capacity",
+    ),
+    pytest.param(
+        lambda tmp_path: ["compare", "--spec", "0"],
+        "speculation_length must be positive",
+        id="compare-spec-0",
+    ),
+    pytest.param(
+        lambda tmp_path: ["calibrate", "--model", "nope"],
+        "unknown model 'nope'",
+        id="calibrate-unknown-model",
+    ),
+    pytest.param(
+        lambda tmp_path: ["serve", "--seed", "-1"],
+        "seed must be non-negative",
+        id="serve-negative-seed",
+    ),
+    pytest.param(
+        lambda tmp_path: ["compare", "--seed", "-1"],
+        "seed must be non-negative",
+        id="compare-negative-seed",
+    ),
+    pytest.param(
+        lambda tmp_path: ["cluster", "--seed", "-1", "--requests", "8"],
+        "seed: must be non-negative",
+        id="cluster-negative-seed",
+    ),
+    pytest.param(
+        _run_mutated("disaggregated.json", ("seed",), -1),
+        "seed: must be non-negative",
+        id="scenario-negative-seed",
     ),
 ]
 
@@ -239,6 +297,21 @@ class TestCommands:
         scenario.write_text('{"routing": {"policy": "coin-flip"}}')
         with pytest.raises(SystemExit, match="routing.policy"):
             main(["run", str(scenario)])
+
+    @pytest.mark.parametrize("argv,message", BAD_INPUTS)
+    def test_bad_input_exits_with_message(self, argv, message, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            main(argv(tmp_path))
+        assert isinstance(info.value.code, str)
+        assert message in info.value.code
+
+    def test_simulation_error_keeps_its_traceback(self, monkeypatch):
+        def broken(args):
+            raise SimulationError("invalid state")
+
+        monkeypatch.setattr(cli, "cmd_serve", broken)
+        with pytest.raises(SimulationError, match="invalid state"):
+            main(["serve"])
 
     @pytest.mark.parametrize("argv,field", NON_FINITE_INPUTS)
     def test_non_finite_number_rejected_with_field_path(

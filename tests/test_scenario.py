@@ -161,6 +161,7 @@ class TestValidation:
              r"tenants\[0\].slo.admission"),  # reject without a budget
             ({"routing": {"policy": "coin-flip"}}, "routing.policy"),
             ({"version": 99}, "version"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_invalid_field_reports_path(self, mutation, path):
@@ -186,6 +187,11 @@ class TestValidation:
         )
         with pytest.raises(ConfigurationError, match=r"tenants\[1\].name"):
             spec.validate()
+
+    def test_negative_seed_fails_before_sampling(self):
+        # numpy's generators reject a negative seed with a bare ValueError.
+        with pytest.raises(ConfigurationError, match="^seed: "):
+            run_scenario(ScenarioSpec(seed=-1))
 
     def test_run_scenario_validates_first(self):
         spec = ScenarioSpec(routing=RoutingSpec(policy="coin-flip"))

@@ -372,3 +372,4 @@ class TestPipelinedTwinsStayApart:
         fleet = FleetState(replicas)
         assert len(fleet._groups) == 2
         assert replicas[0]._price_memo is not replicas[1]._price_memo
+        assert replicas[0]._price_lines is not replicas[1]._price_lines

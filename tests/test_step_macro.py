@@ -24,15 +24,21 @@ contract two ways:
 """
 
 import dataclasses
+import itertools
 import random
 
+import numpy as np
 import pytest
 
+from repro.cluster.fleetstate import FleetState
 from repro.cluster.replica import (
     MACRO_MAX_RUN,
     MACRO_MIN_RUN,
+    MACRO_SMALL_RUN,
+    PriceLine,
     Replica,
 )
+from repro.errors import SimulationError
 from repro.scenario.build import build_replicas, build_requests
 from repro.scenario.run import apply_core_mode, run_scenario
 from repro.scenario.spec import (
@@ -48,6 +54,7 @@ from repro.scenario.spec import (
     WorkloadSpec,
 )
 from repro.serving.engine import MAX_ITERATIONS
+from repro.serving.request import Request
 
 from tests.test_cluster_equivalence import aggregate_fields
 from tests.test_lazy_lanes import _rebucketed
@@ -320,8 +327,12 @@ class TestLimitingTerms:
         twin = _fresh_replica(context_bucket=bucket)
         plan = _fresh_replica(context_bucket=bucket).plan_run(1.0)
         assert plan is not None
+        # The sweep crosses the crossover: short commits fold per
+        # iteration, long ones fold the plan's gathered block.
+        assert MACRO_SMALL_RUN < plan.cap
         if bucket > 1:
-            assert max(plan.counts) > 1
+            seconds = [result.seconds for result in plan.results]
+            assert any(a == b for a, b in zip(seconds, seconds[1:]))
         done_at = 1.0
         for run in range(1, plan.cap + 1):
             completed = done_at
@@ -331,6 +342,19 @@ class TestLimitingTerms:
             assert committed == (done_at, completed)
             assert replica.step_macro["iterations_compressed"] == run
             _assert_same_state(replica, twin)
+
+    def test_out_of_range_commit_raises_before_any_state_change(self):
+        replica = _fresh_replica()
+        twin = _fresh_replica()
+        plan = replica.plan_run(1.0)
+        assert plan is not None
+        for run in (0, plan.cap + 1):
+            with pytest.raises(SimulationError, match="cannot commit"):
+                replica.compress_run(plan, run)
+        _assert_same_state(replica, twin)
+        assert replica._slot_remaining == twin._slot_remaining
+        assert replica.tlp_trace.values == twin.tlp_trace.values
+        assert replica.step_macro == twin.step_macro == {}
 
     def test_iteration_cap_falls_back(self):
         replica = _fresh_replica()
@@ -372,3 +396,136 @@ class TestLimitingTerms:
         plan = replica.plan_run(1.0)
         if plan is not None:
             assert plan.cap <= MACRO_MAX_RUN
+
+
+#: (input_len, output_len) of the four slots of each replica of a pair.
+#: At rlp 4 and TLP 1 the raw mean context grows by one per iteration:
+#: the first replica's run prices means 40..69, the second's 60..99, so
+#: the second reads rows the first priced and runs past the line's end.
+_PAIR_SLOTS = ((40, 30), (60, 40))
+
+
+def _replica_pair(core: str, bucket: int = 1):
+    """Both replicas of the default macro scenario on ``core``, each
+    decoding four requests shaped by :data:`_PAIR_SLOTS`, one iteration
+    in flight. On the vectorized core they are one price group of a
+    :class:`FleetState`, sharing one set of price lines."""
+    replicas = build_replicas(apply_core_mode(_mean_mode_scenario(), core))
+    if bucket != 1:
+        replicas = [_rebucketed(replica, bucket) for replica in replicas]
+    if core == "vectorized":
+        FleetState(replicas)
+        assert replicas[0]._price_lines is replicas[1]._price_lines
+    ids = itertools.count()
+    for replica, (input_len, output_len) in zip(replicas, _PAIR_SLOTS):
+        for _ in range(4):
+            replica.enqueue(
+                Request(
+                    request_id=next(ids),
+                    input_len=input_len,
+                    output_len=output_len,
+                )
+            )
+        assert replica.poke(0.0) is not None
+    return replicas
+
+
+def _one_line(replica: Replica) -> PriceLine:
+    (line,) = replica._price_lines.values()
+    return line
+
+
+class TestGatheredRuns:
+    """Runs longer than :data:`MACRO_SMALL_RUN` gather their prices from
+    a price line shared by the replica's price group; every commit must
+    still equal the per-iteration ground model (the scalar core's
+    ``Replica``, which prices every step from scratch)."""
+
+    @pytest.mark.parametrize("bucket", [1, 32])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_shared_line_prefix_commits_match_per_iteration_twin(
+        self, index, bucket
+    ):
+        twin = _replica_pair("scalar", bucket)[index]
+        done_at = 1.0
+        for run in itertools.count(1):
+            pair = _replica_pair("vectorized", bucket)
+            plans = [replica.plan_run(1.0) for replica in pair]
+            plan = plans[index]
+            assert plan.rows is not None
+            if run > plan.cap:
+                break
+            completed = done_at
+            done_at = twin.on_step_done(done_at)
+            committed = pair[index].compress_run(plan, run)
+            assert committed == (done_at, completed)
+            _assert_same_state(pair[index], twin)
+        assert run - 1 == _PAIR_SLOTS[index][1] - 1
+
+    def test_second_replica_reads_first_rows_and_grows_the_line(self):
+        first, second = _replica_pair("vectorized")
+        line = _one_line(first)
+        first_plan = first.plan_run(1.0)
+        size = len(line.results)
+        (key,) = second._price_lines
+        price = second.pricer.run_pricer(4, 1)
+        priced = []
+
+        def counting(raw_mean):
+            priced.append(raw_mean)
+            return price(raw_mean)
+
+        second._run_pricers[key] = counting
+        plan = second.plan_run(1.0)
+        # Means 60..69 come off the first replica's rows; only the means
+        # past its run are priced, and they grow the line past its end.
+        assert priced == list(range(70, 100))
+        assert 100 > size and len(line.results) >= 100
+        for offset, result in enumerate(plan.results[:10]):
+            assert result is first_plan.results[20 + offset]
+        assert np.array_equal(plan.rows[:10], first_plan.rows[20:])
+
+    def test_schedule_step_returns_the_lines_result(self):
+        replica = _replica_pair("vectorized")[0]
+        plan = replica.plan_run(1.0)
+        assert plan.rows is not None
+        done_at, _ = replica.compress_run(plan, 5)
+        replica.on_step_done(done_at)
+        assert replica._pending[0] is plan.results[6]
+        assert replica._pending[0] is _one_line(replica).results[46]
+
+    def test_cold_line_prices_once_per_bucket_segment(self):
+        """At a coarse bucket consecutive means share one priced context:
+        a gathered run on a cold line prices each segment once, as the
+        per-segment scalar path does."""
+        replica = _fresh_replica(context_bucket=32)
+        price = replica.pricer.run_pricer(4, 1)
+        priced = []
+
+        def counting(raw_mean):
+            priced.append(raw_mean)
+            return price(raw_mean)
+
+        means = np.arange(100, 190)
+        results, _ = PriceLine().gather(
+            means, counting, replica.pricer._bucketize
+        )
+        contexts = [replica.pricer._bucketize(mean) for mean in priced]
+        assert contexts == sorted(set(contexts)) == [96, 128, 160, 192]
+        for mean, result in zip(means.tolist(), results):
+            assert result == price(mean)
+
+    def test_line_growth_keeps_results_and_rows(self):
+        price = _fresh_replica().pricer.run_pricer(4, 1)
+        line = PriceLine()
+        means = np.arange(100, 140)
+        results, rows = line.gather(means, price, lambda mean: mean)
+        line.lookup(4 * len(line.results), price)
+        assert np.array_equal(line.rows[means], rows)
+
+        def unpriced(raw_mean):
+            raise AssertionError(f"raw mean {raw_mean} priced twice")
+
+        again, again_rows = line.gather(means, unpriced, lambda mean: mean)
+        assert all(a is b for a, b in zip(again, results))
+        assert np.array_equal(again_rows, rows)
