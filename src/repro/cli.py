@@ -88,6 +88,9 @@ def _add_workload_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _run(system_name: str, args: argparse.Namespace):
+    if args.batch <= 0:
+        # Named here: the sampler would name its own ``count`` argument.
+        raise ConfigurationError("--batch must be positive")
     engine = ServingEngine(
         system=build_system(system_name),
         model=get_model(args.model),

@@ -196,12 +196,17 @@ class ClusterSummary:
         step_macro: Macro-stepping counters summed across the fleet:
             ``macro_steps`` (closed-form advances committed),
             ``iterations_compressed`` (iterations they covered),
-            ``lazy_runs`` (runs left uncommitted past foreign events as
-            lazy lanes), ``lazy_cuts`` (lazy lanes committed early
-            because routing sent their batch a request it could admit,
-            or a deferral would tie them), and ``fallback_<reason>``
-            counts for runs that stepped per-iteration instead
-            (``admittable``, ``finish_due``, ``iteration_cap``, plus the
+            ``completion_runs`` (runs carried past at least one slot
+            completion, each committed inline), ``lazy_runs`` (frozen
+            runs left uncommitted past foreign events as lazy lanes),
+            ``lazy_cuts`` (lazy lanes committed early because routing
+            sent their batch a request it could admit, or a deferral
+            would tie them), and ``fallback_<reason>`` counts for runs
+            that stepped per-iteration instead (``admittable``,
+            ``finish_due`` — a slot finishes within ``MACRO_MIN_RUN``
+            iterations and no completion run was planned, mostly
+            because the in-flight iteration completes at or past the
+            next interaction event — ``iteration_cap``, plus the
             static ``context_mode`` / ``tlp_policy`` /
             ``speculation_draws`` latches). Only a vectorized colocated
             sessionless fleet macro-steps, so the counters are empty on
@@ -465,7 +470,9 @@ class ClusterSimulator:
         observes nothing. There alone a burst stops only at the next
         interaction event and macro-steps: a frozen batch's closed-form
         run (:meth:`Replica.plan_run`) commits inline when it ends before
-        that event, and a run that passes it becomes a lazy lane of the
+        that event, as does a run carried past slot completions (which
+        covers only completions before the event); a frozen run that
+        passes it becomes a lazy lane of the
         :class:`FleetState` — one calendar event at the run's end, its
         completions shown to each arrival's probes as of the arrival
         (:meth:`FleetState.advance`), and the lane committed early only
@@ -626,12 +633,17 @@ class ClusterSimulator:
                 # own times, not the stalled calendar clock — follow-ups
                 # and KV handoffs are stamped with the inline completion
                 # time, then the horizon is re-peeked. On a relaxed fleet
-                # a frozen run is priced whole instead: it commits inline
-                # in closed form when it ends before the horizon, and
-                # otherwise goes lazy, with one event at its end.
+                # a run is priced whole instead: a frozen run commits
+                # inline in closed form when it ends before the horizon,
+                # and otherwise goes lazy, with one event at its end; a
+                # run carried past slot completions covers only
+                # completions before the horizon and always commits
+                # inline.
                 horizon = horizon_of()
                 while done_at is not None:
-                    plan = replica.plan_run(done_at) if relaxed else None
+                    plan = (
+                        replica.plan_run(done_at, horizon) if relaxed else None
+                    )
                     if plan is None:
                         if horizon is not None and done_at >= horizon:
                             break
@@ -647,7 +659,11 @@ class ClusterSimulator:
                         if replica.outbound:
                             self._ship_transfers(replica, calendar, step_at)
                             horizon = horizon_of()
-                    elif horizon is None or plan.times[plan.cap] < horizon:
+                    elif (
+                        plan.completions is not None
+                        or horizon is None
+                        or plan.times[plan.cap] < horizon
+                    ):
                         done_at, watermark = replica.compress_run(
                             plan, plan.cap
                         )

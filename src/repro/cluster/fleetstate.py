@@ -48,16 +48,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.replica import MACRO_MIN_RUN, Replica, RunPlan
+from repro.cluster.replica import (
+    MACRO_MIN_RUN,
+    CompletionSchedule,
+    Replica,
+    RunPlan,
+)
 from repro.cluster.router import ADMISSION_CONTEXT_BUCKET
 from repro.core.placement import PlacementTarget
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import CapacityError, ConfigurationError, SimulationError
 from repro.models.workload import build_step_grid
 from repro.serving.engine import MAX_ITERATIONS, ServingEngine
 from repro.serving.metrics import IterationRecord
 from repro.serving.request import Request, RequestState
 from repro.serving.tlp_policy import FixedTLP
 from repro.systems.baselines import A100AttAccSystem, AttAccOnlySystem
+from repro.systems.base import IterationResult
 from repro.systems.batch import price_steps_at
 from repro.systems.papi import PAPISystem, PIMOnlyPAPISystem
 
@@ -123,6 +129,9 @@ class VectorReplica(Replica):
     * The runtime monitor is fed the *count* of finished requests
       (:meth:`~repro.systems.base.ServingSystem.observe_finished`)
       instead of a per-request output vector.
+    * The slot mirrors let the macro-run planner carry a run past slot
+      completions (:meth:`_schedule_completions`, :meth:`_commit_slots`;
+      see :meth:`~repro.cluster.replica.Replica.plan_run`).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -308,7 +317,6 @@ class VectorReplica(Replica):
             self._active_context_sum += request.input_len + request.generated
             fresh.append(request)
         if self.check_capacity:
-            cohort = len(active) + len(fresh)
             # The active slots' total lengths live in the _slot_total
             # mirror: one C-speed max over plain ints instead of a
             # request-attribute generator walk per admission.
@@ -318,12 +326,7 @@ class VectorReplica(Replica):
                 active_max = max(slot_total)
                 if active_max > max_seq:
                     max_seq = active_max
-            key = (cohort, max_seq)
-            if key not in self._capacity_ok:
-                self.system.check_capacity(
-                    self.model, cohort, max_seq, moe=self.moe
-                )
-                self._capacity_ok.add(key)
+            self._check_cohort(len(active) + len(fresh), max_seq)
         summary = self.summary
         if self.role == "decode":
             # Transferred requests arrive with their context already
@@ -356,18 +359,9 @@ class VectorReplica(Replica):
                         request.session_id,
                         request.input_len + request.output_len,
                     )
-            count = len(fresh)
-            mean_input = max(
-                1, round(sum(r.prefill_len for r in fresh) / count)
+            result = self._prefill_price(
+                len(fresh), sum(r.prefill_len for r in fresh)
             )
-            memo = self._prefill_memo
-            result = memo.get((count, mean_input))
-            if result is None:
-                result = self.system.execute_prefill(
-                    self.model, count, mean_input
-                )
-                if self._pure_planner:
-                    memo[(count, mean_input)] = result
             summary.prefill_seconds += result.seconds
             summary.prefill_energy += result.energy_joules
             seconds = result.seconds
@@ -448,7 +442,172 @@ class VectorReplica(Replica):
         self._pending = (result, tlp)
         return draft + result.seconds
 
+    def _check_cohort(self, cohort: int, max_seq: int) -> None:
+        """The capacity check of an admission, memoized on the verdicts
+        that pass (a pure function of the cohort size and its longest
+        sequence on one system configuration)."""
+        key = (cohort, max_seq)
+        if key not in self._capacity_ok:
+            self.system.check_capacity(
+                self.model, cohort, max_seq, moe=self.moe
+            )
+            self._capacity_ok.add(key)
+
+    def _prefill_price(
+        self, count: int, prefill_tokens: int
+    ) -> IterationResult:
+        """The prompt pass of an admitted cohort of ``count`` requests
+        and ``prefill_tokens`` prompt tokens to compute: a pure function
+        of ``(cohort size, mean input length)``, memoized when the FC
+        planner provably cannot vary it with scheduler state."""
+        mean_input = max(1, round(prefill_tokens / count))
+        memo = self._prefill_memo
+        result = memo.get((count, mean_input))
+        if result is None:
+            result = self.system.execute_prefill(self.model, count, mean_input)
+            if self._pure_planner:
+                memo[(count, mean_input)] = result
+        return result
+
     # -- macro-stepping hooks (see Replica.compress_run) -------------------
+
+    def _schedule_completions(
+        self, steady: int, limit: int
+    ) -> Optional[CompletionSchedule]:
+        """Lay out a completion run from the slot mirrors (see
+        :meth:`Replica._plan_completions`).
+
+        Every slot finishes at the completion ``ceil(remaining /
+        steady)`` after it joined the batch, so a heap of finishing
+        completions walks the run one completion at a time; per-request
+        work happens only where requests finish or are admitted. Each
+        refill takes the freed slots from the waiting queue in FIFO
+        order, with the capacity check and prefill price :meth:`_admit`
+        would make (a heap of the live slots' totals gives the longest
+        sequence). Stops after ``limit`` completions, when the batch
+        drains, or before a refill whose capacity check fails or that
+        would admit a session turn (whose prefix-cache reads a schedule
+        does not replay). ``None`` unless this is a colocated replica
+        with a recognized FC planner: only then are the FC targets and
+        prefill prices after a completion pure functions of the batch
+        shape.
+        """
+        if self.role != "colocated" or not self._pure_planner:
+            return None
+        requests = list(self.active)
+        finishes = [
+            (rem + steady - 1) // steady for rem in self._slot_remaining
+        ]
+        totals = list(self._slot_total)
+        schedule = CompletionSchedule(
+            requests,
+            list(self._slot_remaining),
+            list(self._slot_context),
+            totals,
+            finishes,
+        )
+        starts = schedule.starts
+        remaining = schedule.remaining
+        contexts = schedule.contexts
+        pop = heapq.heappop
+        push = heapq.heappush
+        due = list(zip(finishes, range(len(finishes))))
+        heapq.heapify(due)
+        check = self.check_capacity
+        longest = [(-total, finish) for total, finish in zip(totals, finishes)]
+        heapq.heapify(longest)
+        queue = iter(self.waiting)
+        queued = len(self.waiting)
+        max_batch = self.max_batch_size
+        rlp = len(requests)
+        cap = limit
+        while due and due[0][0] <= cap:
+            completion, slot = pop(due)
+            finished = [slot]
+            while due and due[0][0] == completion:
+                finished.append(pop(due)[1])
+            deficit = 0
+            if steady > 1:
+                for slot in finished:
+                    deficit += (
+                        steady * (completion - starts[slot]) - remaining[slot]
+                    )
+            correction = 0
+            for slot in finished:
+                correction -= totals[slot]
+            rlp -= len(finished)
+            count = max_batch - rlp
+            if count > queued:
+                count = queued
+            prefill = None
+            if count > 0:
+                fresh = [next(queue) for _ in range(count)]
+                max_seq = prefill_tokens = 0
+                for request in fresh:
+                    if request.session_id is not None:
+                        max_seq = -1
+                        break
+                    total = request.input_len + request.output_len
+                    if total > max_seq:
+                        max_seq = total
+                    prefill_tokens += request.prefill_len
+                if max_seq < 0:
+                    cap = completion - 1
+                    break
+                if check:
+                    while longest and longest[0][1] <= completion:
+                        pop(longest)
+                    if longest and -longest[0][0] > max_seq:
+                        max_seq = -longest[0][0]
+                    try:
+                        self._check_cohort(rlp + count, max_seq)
+                    except CapacityError:
+                        cap = completion - 1
+                        break
+                prefill = self._prefill_price(count, prefill_tokens)
+                for request in fresh:
+                    generated = request.generated
+                    owed = request.output_len - generated
+                    context = request.input_len + generated
+                    total = request.input_len + request.output_len
+                    finish = completion + (owed + steady - 1) // steady
+                    push(due, (finish, len(requests)))
+                    push(longest, (-total, finish))
+                    requests.append(request)
+                    starts.append(completion)
+                    remaining.append(owed)
+                    contexts.append(context)
+                    totals.append(total)
+                    finishes.append(finish)
+                    correction += context
+                queued -= count
+                rlp += count
+            schedule.completions.append(completion)
+            schedule.finished.append(finished)
+            schedule.stops.append(len(requests))
+            schedule.prefills.append(prefill)
+            schedule.sizes.append(rlp)
+            schedule.deficits.append(deficit)
+            schedule.corrections.append(correction)
+            if rlp == 0:
+                cap = completion
+                schedule.drained = True
+                break
+        schedule.cap = cap
+        return schedule
+
+    def _commit_slots(
+        self,
+        active: List[Request],
+        remaining: List[int],
+        contexts: List[int],
+        totals: List[int],
+    ) -> None:
+        """Install a completion run's batch and slot mirrors."""
+        self.active = active
+        self._slot_remaining = remaining
+        self._slot_context = contexts
+        self._slot_total = totals
 
     def _macro_min_remaining(self) -> int:
         """Fewest remaining tokens, from the slot mirror."""
@@ -944,19 +1103,21 @@ class FleetState:
     def _share_price_memos(self) -> None:
         """Give each price group's vector replicas one set of step caches:
         the mean-mode price lines, the per-request step memo, the
-        prefill memo and the capacity verdicts.
+        prefill memo, the capacity verdicts and the pricers' FC halves.
 
         A step price is a pure function of ``(planned target, rlp, tlp,
         context key)`` on a configuration-equal system serving the same
         workload with the same context accounting — the grouping
         criterion — so one replica's priced entry is exactly what any
         group member's pricer would return (the shared step-cost cache
-        relies on the same interchangeability). Sharing turns the
+        relies on the same interchangeability). So is a
+        :class:`~repro.serving.engine.StepPricer`'s FC half, of its
+        ``(planned target, rlp, tlp)`` key alone. Sharing turns the
         per-replica warmup (each replica missing the same operating
-        points) into one warm line or table per group. Misses are still
-        priced by the asking replica's own pricer.
+        points) into one warm line, table or half per group. Misses are
+        still priced by the asking replica's own pricer.
         """
-        shared = {group: ({}, {}, {}, set()) for group in self._groups}
+        shared = {group: ({}, {}, {}, set(), {}) for group in self._groups}
         for replica, group in zip(self._replicas, self._lane_groups):
             if isinstance(replica, VectorReplica):
                 (
@@ -964,6 +1125,7 @@ class FleetState:
                     replica._price_memo,
                     replica._prefill_memo,
                     replica._capacity_ok,
+                    replica.pricer._halves,
                 ) = shared[group]
 
     # -- vectorized probes -------------------------------------------------

@@ -22,8 +22,9 @@ This is the only decoding state machine. :meth:`ServingEngine.run`
 serves a static batch (every paper figure) by calling
 :meth:`on_step_done` once per iteration, and so does every cluster run
 but one kind: on a vectorized colocated sessionless fleet the event loop
-prices a frozen run of iterations with :meth:`plan_run` and folds it
-through :meth:`compress_run`. The scalar core, and with it
+prices a run of iterations with :meth:`plan_run`, frozen or carried past
+slot completions, and folds it through :meth:`compress_run`. The scalar
+core, and with it
 :meth:`ServingEngine.run_trace`, never macro-steps, so every
 scalar-vs-vectorized equivalence test checks that refinement against the
 per-iteration ground model.
@@ -31,6 +32,7 @@ per-iteration ground model.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from itertools import repeat
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
@@ -77,6 +79,24 @@ MACRO_MAX_RUN = 16384
 MACRO_SMALL_RUN = 16
 
 
+def _add_in_turn(total: float, values: np.ndarray) -> float:
+    """``total`` after ``total += value`` for each of ``values`` in turn.
+
+    A plain loop for a run of at most :data:`MACRO_SMALL_RUN` values,
+    otherwise one sequential ``np.add.accumulate``: the same additions
+    in the same order, so the same rounding.
+    """
+    if len(values) <= MACRO_SMALL_RUN:
+        for value in values.tolist():
+            total += value
+        return total
+    chain = np.empty(len(values) + 1, dtype=np.float64)
+    chain[0] = total
+    chain[1:] = values
+    np.add.accumulate(chain, out=chain)
+    return float(chain[-1])
+
+
 class PriceLine:
     """Mean-mode step prices of one ``(FC target code, rlp, tlp)``,
     indexed by raw mean context.
@@ -116,15 +136,16 @@ class PriceLine:
     def gather(
         self, raw_means: np.ndarray, price, bucketize
     ) -> Tuple[List[IterationResult], np.ndarray]:
-        """Results (a list) and fold rows of the non-decreasing
-        ``raw_means``.
+        """Results (a list) and fold rows of ``raw_means``.
 
         One fancy index each; only means without a row are visited one
-        by one, and only unseen ones are priced (by ``price``), once per
-        run of them that ``bucketize`` maps to one priced context.
+        by one, in ascending order, and only unseen ones are priced (by
+        ``price``), once per run of them that ``bucketize`` maps to one
+        priced context.
         """
-        if raw_means[-1] >= len(self.results):
-            self._grow(int(raw_means[-1]))
+        top = int(raw_means.max())
+        if top >= len(self.results):
+            self._grow(top)
         rows = self.rows
         if rows is not None:
             block = rows[raw_means]
@@ -169,52 +190,139 @@ class PriceLine:
             self.rows = rows
 
 
-class RunPlan:
-    """A priced frozen run (see :meth:`Replica.plan_run`), committed
-    whole or in part through :meth:`Replica.compress_run`.
+class CompletionSchedule:
+    """The slot side of a run carried past slot completions.
+
+    A replica's :meth:`Replica._schedule_completions` hook builds it from
+    its batch and its waiting queue, and :meth:`Replica.plan_run` adds
+    the run's per-iteration arrays. Slot ``k`` is the ``k``-th request
+    the run decodes: the active requests in batch order, then each refill
+    in FIFO order. That is also the order a per-iteration loop keeps its
+    batch in: compaction keeps the survivors' order and refills append.
 
     Attributes:
-        start: Completion time of the run's first iteration (the one in
-            flight when the run was planned).
-        cap: Iterations the run covers: up to the first slot completion,
-            the iteration cap or :data:`MACRO_MAX_RUN`, whichever comes
-            first.
-        times: ``cap + 1`` completion times: ``times[i]`` is iteration
-            ``i + 1``'s, so ``times[0] == start`` and ``times[cap]`` is
-            the in-flight iteration's after the whole run commits.
-        per_iteration: Tokens the batch accepts per iteration (every
-            slot's deterministic credit); each iteration moves the
-            replica's remaining-token and active-context counters by it.
-        rlp / tlp / steady / draft: The frozen batch shape, per-slot
-            credit and draft overhead per iteration.
-        results: ``cap + 1`` prices: ``results[i]`` is iteration
-            ``i + 1``'s, so ``results[0]`` is the one in flight when the
-            run was planned and ``results[cap]`` the one the whole run
-            leaves in flight.
-        rows: ``None`` for a run of at most :data:`MACRO_SMALL_RUN`
-            iterations; otherwise the ``(cap + 1, columns)`` block of the
-            results' price-line fold rows, which a commit folds.
+        requests / starts / remaining / contexts / totals / finishes: Per
+            slot: the request; the completion after which it joined the
+            batch (0 for the batch the run starts with); the tokens it
+            owed and its KV context then; its prompt plus output length;
+            and the completion at which it finishes (past ``cap`` when
+            the run ends first).
+        completions: Each completion at which slots finish, as its
+            1-based index within the run, ascending (entries past
+            ``cap``, left when a horizon cut the run, are never
+            committed). The lists below hold one entry per such
+            completion.
+        finished: The slots finishing there, ascending.
+        stops: The slot count after its refill: the refill is slots
+            ``stops[e - 1]`` (the starting batch size for the first)
+            through ``stops[e] - 1``.
+        prefills: The refill's prefill price (``None`` without a refill).
+        sizes: The batch size after the refill.
+        deficits: Tokens the finishing slots fall short of ``steady``
+            (a finishing slot is credited only what it still owes).
+        corrections: How far the active-context total moves beyond the
+            accepted tokens: the refills' contexts minus the finished
+            slots' totals.
+        cap: Completions the schedule covers.
+        drained: Whether the batch is empty after completion ``cap``.
+        rlps / tokens / context_totals / segments: Set by the planner:
+            the batch size of each priced iteration, the tokens each of
+            the ``cap`` completions accepts, the active-context total
+            entering each of iterations ``1..cap + 1``, and the
+            ``(first, stop, rows)`` price-line segments of the priced
+            iterations (``rows`` is a gathered segment's fold-row block,
+            ``None`` for one looked up iteration by iteration).
     """
 
     __slots__ = (
-        "start", "cap", "rlp", "tlp", "per_iteration", "steady", "draft",
-        "results", "rows", "times",
+        "requests", "starts", "remaining", "contexts", "totals", "finishes",
+        "completions", "finished", "stops", "prefills", "sizes", "deficits",
+        "corrections", "cap", "drained", "rlps", "tokens", "context_totals",
+        "segments",
+    )
+
+    def __init__(self, requests, remaining, contexts, totals, finishes):
+        self.requests: List[Request] = requests
+        self.starts: List[int] = [0] * len(requests)
+        self.remaining: List[int] = remaining
+        self.contexts: List[int] = contexts
+        self.totals: List[int] = totals
+        self.finishes: List[int] = finishes
+        self.completions: List[int] = []
+        self.finished: List[List[int]] = []
+        self.stops: List[int] = []
+        self.prefills: List[Optional[IterationResult]] = []
+        self.sizes: List[int] = []
+        self.deficits: List[int] = []
+        self.corrections: List[int] = []
+        self.cap = 0
+        self.drained = False
+        self.rlps: Optional[np.ndarray] = None
+        self.tokens: Optional[np.ndarray] = None
+        self.context_totals: Optional[np.ndarray] = None
+        self.segments: List[Tuple[int, int, Optional[np.ndarray]]] = []
+
+
+class RunPlan:
+    """A priced macro-run (see :meth:`Replica.plan_run`), committed whole
+    or in part through :meth:`Replica.compress_run`.
+
+    Attributes:
+        replica / iteration: The replica that priced the run and its
+            iteration count then. A commit on another replica, or after
+            the replica has stepped, raises.
+        start: Completion time of the run's first iteration (the one in
+            flight when the run was planned).
+        cap: Completions the run covers. A frozen run stops before its
+            first slot completion, at the iteration cap or at
+            :data:`MACRO_MAX_RUN`; a completion run (``completions`` set)
+            see :meth:`Replica.plan_run`.
+        times: ``cap + 1`` completion times: ``times[i]`` is iteration
+            ``i + 1``'s, so ``times[0] == start`` and ``times[cap]`` is
+            the in-flight iteration's after the whole run commits
+            (``None`` when the batch drains at completion ``cap``).
+        per_iteration: A frozen run's tokens per iteration (every slot's
+            deterministic credit); each iteration moves the replica's
+            remaining-token and active-context counters by it. ``None``
+            for a completion run, whose credit is per iteration.
+        rlp / tlp / steady / draft: The batch size the run starts with,
+            its TLP, the per-slot credit and the draft overhead per
+            iteration.
+        results: ``cap + 1`` prices: ``results[i]`` is iteration
+            ``i + 1``'s, so ``results[0]`` is the one in flight when the
+            run was planned and ``results[cap]`` the one the whole run
+            leaves in flight (``None`` when the batch drains).
+        rows: ``None`` for a completion run and for a frozen run of at
+            most :data:`MACRO_SMALL_RUN` iterations; otherwise the
+            ``(cap + 1, columns)`` block of the results' price-line fold
+            rows, which a commit folds.
+        completions: ``None`` for a frozen run; a completion run's
+            :class:`CompletionSchedule`.
+    """
+
+    __slots__ = (
+        "replica", "iteration", "start", "cap", "rlp", "tlp",
+        "per_iteration", "steady", "draft", "results", "rows", "times",
+        "completions",
     )
 
     def __init__(
-        self, start, cap, rlp, tlp, per_iteration, steady, draft, results,
-        rows, times,
+        self, replica, start, cap, rlp, tlp, per_iteration, steady, draft,
+        results, rows, times, completions=None,
     ) -> None:
+        self.replica: "Replica" = replica
+        self.iteration: int = replica._iteration
         self.start = start
         self.cap = cap
         self.rlp = rlp
         self.tlp = tlp
-        self.per_iteration = per_iteration
+        self.per_iteration: Optional[int] = per_iteration
         self.steady = steady
         self.draft = draft
-        self.results: List[IterationResult] = results
+        self.results: List[Optional[IterationResult]] = results
         self.rows: Optional[np.ndarray] = rows
-        self.times: List[float] = times
+        self.times: List[Optional[float]] = times
+        self.completions: Optional[CompletionSchedule] = completions
 
 
 class Replica:
@@ -604,23 +712,44 @@ class Replica:
         duration += self._schedule_step()
         return now + duration
 
-    def plan_run(self, now: float) -> Optional[RunPlan]:
-        """Price the frozen run whose first iteration completes at ``now``.
+    def plan_run(
+        self, now: float, horizon: Optional[float]
+    ) -> Optional[RunPlan]:
+        """Price the run whose first iteration completes at ``now``.
 
-        A run is *frozen* when nothing is admittable, the TLP is fixed
-        and every slot deterministically accepts the same tokens per
-        iteration. Returns ``None`` when the batch is not (each decline
-        counted in ``step_macro``); otherwise the run up to the first
-        slot completion, the iteration cap or :data:`MACRO_MAX_RUN`,
-        priced and timed. Prices come off the price line of the batch's
-        ``(FC target code, rlp, tlp)``: a run of at most
-        :data:`MACRO_SMALL_RUN` iterations looks one up per context
-        segment and times itself one add at a time; a longer one
-        gathers its prices and fold rows with one fancy index over its
-        raw means (:meth:`PriceLine.gather`, pricing only unseen means)
-        and times them with one accumulate. Mutates no simulation state
-        (the line is a cache); commit the plan, or a prefix of it,
-        through :meth:`compress_run`.
+        ``horizon`` is the time of the next event that could observe the
+        fleet (``None`` when none is pending). Returns ``None`` when the
+        batch cannot macro-step (each decline counted in ``step_macro``),
+        otherwise one of two runs:
+
+        * A *frozen* run: nothing is admittable, the TLP is fixed and
+          every slot deterministically accepts the same tokens per
+          iteration. It covers the iterations up to the first slot
+          completion, the iteration cap or :data:`MACRO_MAX_RUN`, priced
+          and timed. Prices come off the price line of the batch's ``(FC
+          target code, rlp, tlp)``: a run of at most
+          :data:`MACRO_SMALL_RUN` iterations looks one up per context
+          segment and times itself one add at a time; a longer one
+          gathers its prices and fold rows with one fancy index over its
+          raw means (:meth:`PriceLine.gather`, pricing only unseen means)
+          and times them with one accumulate.
+        * A *completion* run, when the frozen run would end at its first
+          slot completion before ``horizon`` anyway, or when a slot
+          finishes within :data:`MACRO_MIN_RUN` iterations and the
+          in-flight iteration completes before ``horizon``; only a
+          replica whose :meth:`_schedule_completions` hook schedules one
+          (a :class:`~repro.cluster.fleetstate.VectorReplica` with a
+          recognized FC planner) carries completions. See
+          :meth:`_plan_completions`. It is counted in
+          ``step_macro["completion_runs"]``; ``fallback_finish_due``
+          counts the declines where a slot finishes within
+          :data:`MACRO_MIN_RUN` iterations and no completion run is
+          planned, which prices nothing when the in-flight iteration
+          completes at or past ``horizon``.
+
+        Mutates no simulation state (price lines, prefill prices and
+        capacity verdicts are caches); commit the plan, or a prefix of
+        it, through :meth:`compress_run`.
         """
         if self._macro_off:
             return None
@@ -640,14 +769,12 @@ class Replica:
             steady = self._macro_steady = self.speculation.steady_slot_tokens(
                 self.policy.tlp
             )
-        active = self.active
-        if self.waiting and len(active) < self.max_batch_size:
+        if self.waiting and len(self.active) < self.max_batch_size:
             counters["fallback_admittable"] = (
                 counters.get("fallback_admittable", 0) + 1
             )
             return None
-        result_first, tlp = pending
-        if tlp != self.policy.tlp:
+        if pending[1] != self.policy.tlp:
             counters["fallback_tlp_policy"] = (
                 counters.get("fallback_tlp_policy", 0) + 1
             )
@@ -656,18 +783,52 @@ class Replica:
         # cap and the hard per-step bound.
         min_remaining = self._macro_min_remaining()
         finish_free = (min_remaining - 1) // steady
-        if finish_free < MACRO_MIN_RUN:
-            counters["fallback_finish_due"] = (
-                counters.get("fallback_finish_due", 0) + 1
-            )
-            return None
         iteration_room = MAX_ITERATIONS - 1 - self._iteration
+        limit = min(iteration_room, MACRO_MAX_RUN)
+        if finish_free < MACRO_MIN_RUN:
+            plan = None
+            if (horizon is None or now < horizon) and (
+                iteration_room >= MACRO_MIN_RUN
+            ):
+                plan = self._plan_completions(
+                    now, horizon, pending, steady, limit
+                )
+            if plan is None:
+                counters["fallback_finish_due"] = (
+                    counters.get("fallback_finish_due", 0) + 1
+                )
+            return plan
         if iteration_room < MACRO_MIN_RUN:
             counters["fallback_iteration_cap"] = (
                 counters.get("fallback_iteration_cap", 0) + 1
             )
             return None
-        cap = min(finish_free, iteration_room, MACRO_MAX_RUN)
+        cap = min(finish_free, limit)
+        frozen = None
+        if cap == finish_free:
+            # The run ends at its first slot completion. Without a
+            # horizon it commits inline whatever happens, so carry it
+            # through; with one, only when that completion precedes it
+            # (otherwise the frozen run goes lazy).
+            if horizon is not None:
+                frozen = self._plan_frozen(now, pending, steady, cap)
+            if horizon is None or frozen.times[cap] < horizon:
+                plan = self._plan_completions(
+                    now, horizon, pending, steady, limit
+                )
+                if plan is not None:
+                    return plan
+        if frozen is None:
+            frozen = self._plan_frozen(now, pending, steady, cap)
+        return frozen
+
+    def _plan_frozen(
+        self, now: float, pending, steady: int, cap: int
+    ) -> RunPlan:
+        """Price and time the frozen run of ``cap`` iterations (see
+        :meth:`plan_run`)."""
+        result_first, tlp = pending
+        active = self.active
         draft = self.speculation.draft_overhead_s(tlp)
         rlp = len(active)
         per_iteration = rlp * steady
@@ -737,115 +898,435 @@ class Replica:
             np.add.accumulate(chain, out=chain)
             times = chain.tolist()
         return RunPlan(
-            now, cap, rlp, tlp, per_iteration, steady, draft, results, rows,
-            times,
+            self, now, cap, rlp, tlp, per_iteration, steady, draft, results,
+            rows, times,
         )
 
-    def compress_run(self, plan: RunPlan, run: int) -> Tuple[float, float]:
+    def _plan_completions(
+        self,
+        now: float,
+        horizon: Optional[float],
+        pending,
+        steady: int,
+        limit: int,
+    ) -> Optional[RunPlan]:
+        """Price a run carried past slot completions (see :meth:`plan_run`).
+
+        The replica's :meth:`_schedule_completions` hook lays out which
+        slots finish at which completion and how each refill fills the
+        freed slots. Finished slots are stamped and compacted; freed
+        slots are refilled in FIFO order from the waiting queue, each
+        refill with its prefill, capacity check and ``begin_batch``; the
+        batch shrinks once the queue runs dry. The schedule stops at the
+        iteration cap or :data:`MACRO_MAX_RUN` (``limit``), when the
+        batch drains, or before a refill whose capacity check fails
+        (where the per-iteration step raises). With a ``horizon`` it is
+        laid out at most about twice as far as the in-flight iteration's
+        duration puts the horizon, so a near horizon never pays for a
+        long schedule; a run that stops short of it simply plans again.
+
+        Everything per iteration is an array: the batch size of each
+        stretch between completions, the context total (one cumulative
+        sum of ``rlp * steady`` plus each completion's correction), the
+        raw means, the prices (gathered per ``(FC target code, rlp,
+        tlp)`` price-line segment, or looked up iteration by iteration
+        in a segment of at most :data:`MACRO_SMALL_RUN`), and the
+        completion times, one accumulate of ``prefill + (draft +
+        seconds)`` (the association order of :meth:`on_step_done`'s
+        ``now + duration``). The run then stops at its first completion
+        at or past ``horizon``. Returns ``None`` when no slot completion
+        is left in the run.
+        """
+        result_first, tlp = pending
+        draft = self.speculation.draft_overhead_s(tlp)
+        if horizon is not None:
+            reach = int((horizon - now) / (draft + result_first.seconds))
+            limit = min(limit, 2 * reach + MACRO_MIN_RUN)
+        schedule = self._schedule_completions(steady, limit)
+        if schedule is None or not schedule.completions:
+            return None
+        cap = schedule.cap
+        size = cap if schedule.drained else cap + 1
+        completions = schedule.completions
+        # The batch size of priced iterations 1..size: a stretch per
+        # completion at which slots finish.
+        stretch_sizes = [len(self.active)] + schedule.sizes
+        bounds = [0] + completions + [size]
+        rlps = np.repeat(stretch_sizes, np.diff(bounds))
+        # Tokens accepted at, and context total entering, each iteration.
+        at = np.asarray(completions) - 1
+        tokens = rlps[:cap] * steady
+        tokens[at] -= schedule.deficits
+        context_totals = np.empty(cap + 1, dtype=np.int64)
+        context_totals[0] = self._active_context_sum
+        context_totals[1:] = tokens
+        context_totals[1:][at] += schedule.corrections
+        np.cumsum(context_totals, out=context_totals)
+        means = context_totals[:size] / rlps
+        np.rint(means, out=means)
+        np.maximum(means, 1.0, out=means)
+        raw_means = means.astype(np.int64)
+
+        # Price per (FC target code, rlp) segment: the first stretch on
+        # the in-flight iteration's line, later ones where the scheduler
+        # re-plans after each completion.
+        plan_target = self.system.plan_fc_target
+        codes: Dict[int, int] = {}
+        segments = []
+        for index, rlp in enumerate(stretch_sizes):
+            start, stop = bounds[index], bounds[index + 1]
+            if start == stop:
+                continue
+            if index == 0:
+                code = 0 if result_first.fc_target is PlacementTarget.PU else 1
+            else:
+                code = codes.get(rlp)
+                if code is None:
+                    target = plan_target(rlp, tlp)
+                    code = 0 if target is PlacementTarget.PU else 1
+                    codes[rlp] = code
+            if segments and segments[-1][2:] == [code, rlp]:
+                segments[-1][1] = stop
+            else:
+                segments.append([start, stop, code, rlp])
+        results: List[Optional[IterationResult]] = []
+        seconds = np.empty(size, dtype=np.float64)
+        bucketize = self.pricer._bucketize
+        for segment in segments:
+            start, stop, code, rlp = segment
+            line, price = self._price_line(code, rlp, tlp)
+            if stop - start <= MACRO_SMALL_RUN:
+                lookup = line.lookup
+                priced = [
+                    lookup(mean, price)
+                    for mean in raw_means[start:stop].tolist()
+                ]
+                seconds[start:stop] = [result.seconds for result in priced]
+                rows = None
+            else:
+                priced, rows = line.gather(
+                    raw_means[start:stop], price, bucketize
+                )
+                seconds[start:stop] = rows[:, 0]
+            results.extend(priced)
+            segment[2:] = [rows]
+        results[0] = result_first
+
+        # Completion times: prefill + (draft + seconds) per iteration.
+        increments = seconds[1:]
+        increments += draft
+        refills = [
+            (completion - 1, prefill.seconds)
+            for completion, prefill in zip(completions, schedule.prefills)
+            if prefill is not None
+        ]
+        if refills:
+            where, prefill_seconds = zip(*refills)
+            where = list(where)
+            increments[where] = np.add(prefill_seconds, increments[where])
+        chain = np.empty(size, dtype=np.float64)
+        chain[0] = now
+        chain[1:] = increments
+        np.add.accumulate(chain, out=chain)
+        if horizon is not None:
+            # Completions strictly before the horizon commit; the first
+            # one at or past it stays in flight.
+            # (The schedule's entries past the cut are never committed.)
+            before = int(np.searchsorted(chain, horizon))
+            if before < cap:
+                if before < completions[0]:
+                    return None
+                cap = before
+                schedule.drained = False
+        schedule.cap = cap
+        schedule.rlps = rlps
+        schedule.tokens = tokens
+        schedule.context_totals = context_totals
+        schedule.segments = [tuple(segment) for segment in segments]
+        times = chain[: cap + 1].tolist()
+        del results[cap + 1:]
+        if schedule.drained:
+            times.append(None)
+            results.append(None)
+        counters = self.step_macro
+        counters["completion_runs"] = counters.get("completion_runs", 0) + 1
+        return RunPlan(
+            self, now, cap, len(self.active), tlp, None, steady, draft,
+            results, None, times, schedule,
+        )
+
+    def compress_run(
+        self, plan: RunPlan, run: int
+    ) -> Tuple[Optional[float], float]:
         """Commit the first ``run`` iterations of ``plan`` in closed form.
 
-        ``plan`` is a run :meth:`plan_run` priced from this replica's
-        current state, its first iteration in flight; ``1 <= run <=
-        plan.cap``, or :class:`SimulationError` is raised before any
-        state changes. The iterations' prices and completion times (one
-        sequential float chain, bit-identical to the per-iteration adds)
-        come from the plan, and every counter the per-iteration path
-        would have touched is folded at once: the replica ends as
-        ``run`` :meth:`on_step_done` rounds would leave it. A run longer
-        than :data:`MACRO_SMALL_RUN` folds the first ``run`` rows of the
-        plan's gathered block with one accumulate.
+        ``plan`` is a run :meth:`plan_run` priced on this replica at its
+        current iteration, its first iteration in flight, and ``1 <= run
+        <= plan.cap``; otherwise :class:`SimulationError` is raised
+        before any state changes. The iterations' prices and completion
+        times (one sequential float chain, bit-identical to the
+        per-iteration adds) come from the plan, and every counter the
+        per-iteration path would have touched is folded at once: the
+        replica ends as ``run`` :meth:`on_step_done` rounds would leave
+        it. A completion run replays its schedule's finishes and refills
+        in completion order (stamping finished requests, popping the
+        queue, charging queueing and prefill, and ``observe_finished`` /
+        ``begin_batch`` for the monitor) between closed-form
+        ``observe_steady`` stretches. Every committed iteration folds
+        through :meth:`RunSummary.fold_run_segments`: a gathered segment
+        longer than :data:`MACRO_SMALL_RUN` with one accumulate over its
+        rows, the rest iteration by iteration.
 
         Returns ``(next_done_at, last_completed_at)``: the completion
-        time of the newly scheduled (still in-flight) iteration and of
-        the run's last *completed* iteration (the caller's makespan
-        watermark).
+        time of the newly scheduled (still in-flight) iteration, ``None``
+        when the batch drained, and of the run's last *completed*
+        iteration (the caller's makespan watermark).
         """
+        if plan.replica is not self or plan.iteration != self._iteration:
+            raise SimulationError(
+                f"replica {self.replica_id}: cannot commit a stale plan "
+                f"(priced on replica {plan.replica.replica_id} at "
+                f"iteration {plan.iteration}, now at {self._iteration})"
+            )
         if not 1 <= run <= plan.cap:
             raise SimulationError(
                 f"replica {self.replica_id}: cannot commit {run} "
                 f"iterations of a {plan.cap}-iteration run"
             )
-        # Commit: replicate every side effect of `run` on_step_done +
-        # _schedule_step rounds. No request finishes, so the slot state
-        # advances uniformly and the monitor sees finish-free batches.
-        rlp = plan.rlp
         tlp = plan.tlp
-        per_iteration = plan.per_iteration
-        draft = plan.draft
-        self._macro_advance_slots(plan.steady * run)
-        self._remaining_tokens -= per_iteration * run
-        self._active_context_sum += per_iteration * run
-        self._accepted_fraction = 1.0
-        if tlp > 1:
-            drafted = rlp * (tlp - 1) * run
-            self._drafted_tokens += drafted
-            self._accepted_draft_tokens += drafted
-        if self.moe is not None:
-            tokens = rlp * tlp
-            self.expert_token_visits += (
-                tokens * self.moe.experts_per_token * run
-            )
-            expected = expected_active_experts(
-                self.moe.num_experts, self.moe.experts_per_token, tokens
-            )
-            if run <= MACRO_SMALL_RUN:
-                expert_sum = self._active_expert_sum
-                for _ in range(run):
-                    expert_sum += expected
-                self._active_expert_sum = expert_sum
-            else:
-                chain = np.empty(run + 1, dtype=np.float64)
-                chain[0] = self._active_expert_sum
-                chain[1:] = expected
-                np.add.accumulate(chain, out=chain)
-                self._active_expert_sum = float(chain[-1])
-        self.system.observe_steady(run, rlp)
-
-        # Fold completed iterations 1..run, one (result, 1) pair each.
-        done = plan.results[:run]
-        rows = plan.rows
-        if rows is not None:
-            rows = rows[:run] if run > MACRO_SMALL_RUN else None
-        summary = self.summary
-        if summary.detail == "full":
-            records = summary.records
-            iteration = self._iteration
-            for result in done:
-                records.append(
-                    IterationRecord(
-                        iteration=iteration,
-                        result=result,
-                        tokens_accepted=per_iteration,
-                        rlp_before=rlp,
-                        rlp_after=rlp,
-                    )
+        schedule = plan.completions
+        if schedule is None:
+            # A frozen run: no request finishes, so the slot state
+            # advances uniformly and the monitor sees finish-free
+            # batches.
+            rlp = plan.rlp
+            per_iteration = tokens = plan.per_iteration
+            self._macro_advance_slots(plan.steady * run)
+            self._remaining_tokens -= per_iteration * run
+            self._active_context_sum += per_iteration * run
+            self._accepted_fraction = 1.0
+            if tlp > 1:
+                drafted = rlp * (tlp - 1) * run
+                self._drafted_tokens += drafted
+                self._accepted_draft_tokens += drafted
+            if self.moe is not None:
+                self._fold_experts(np.full(run, rlp), tlp)
+            self.system.observe_steady(run, rlp)
+            if self.summary.detail == "full":
+                self._record_iterations(
+                    plan, run, repeat(per_iteration), repeat(rlp), repeat(0)
                 )
-                iteration += 1
-        summary.fold_run_segments(
-            list(zip(done, repeat(1))), per_iteration, rows
-        )
-        if draft != 0.0:
-            if run <= MACRO_SMALL_RUN:
-                draft_total = summary.draft_seconds
-                for _ in range(run):
-                    draft_total += draft
-                summary.draft_seconds = draft_total
-            else:
-                chain = np.empty(run + 1, dtype=np.float64)
-                chain[0] = summary.draft_seconds
-                chain[1:] = draft
-                np.add.accumulate(chain, out=chain)
-                summary.draft_seconds = float(chain[-1])
-        self.tlp_trace.values.extend([tlp] * run)
+            segments = ((0, plan.cap + 1, plan.rows),)
+        else:
+            tokens = self._replay_completions(plan, run)
+            segments = schedule.segments
+
+        # Fold completed iterations 1..run: a long gathered segment by
+        # its rows, everything between per iteration.
+        folded = 0
+        for start, stop, rows in segments:
+            stop = min(stop, run)
+            if rows is None or stop - start <= MACRO_SMALL_RUN:
+                continue
+            if folded < start:
+                self._fold_iterations(plan, tokens, folded, start)
+            self._fold_iterations(
+                plan, tokens, start, stop, rows[: stop - start]
+            )
+            folded = stop
+        if folded < run:
+            self._fold_iterations(plan, tokens, folded, run)
+
+        # Iterations 2..run+1 were scheduled (up to run when the batch
+        # drained at the last completion).
+        summary = self.summary
+        result = plan.results[run]
+        scheduled = run if result is not None else run - 1
+        if plan.draft != 0.0 and scheduled:
+            summary.draft_seconds = _add_in_turn(
+                summary.draft_seconds, np.full(scheduled, plan.draft)
+            )
+        self.tlp_trace.values.extend([tlp] * scheduled)
         self._iteration += run
-        # Iteration run+1 leaves in flight.
-        self._pending = (plan.results[run], tlp)
+        if result is None:
+            self._pending = None
+            self.busy = False
+        else:
+            self._pending = (result, tlp)
         counters = self.step_macro
         counters["macro_steps"] = counters.get("macro_steps", 0) + 1
         counters["iterations_compressed"] = (
             counters.get("iterations_compressed", 0) + run
         )
         return plan.times[run], plan.times[run - 1]
+
+    def _fold_iterations(
+        self, plan: RunPlan, tokens, start: int, stop: int, rows=None
+    ) -> None:
+        """Fold iterations ``start + 1 .. stop`` of ``plan``, one
+        ``(result, 1)`` pair each; ``tokens`` is every iteration's count
+        or a list of them (see :meth:`RunSummary.fold_run_segments`)."""
+        self.summary.fold_run_segments(
+            list(zip(plan.results[start:stop], repeat(1))),
+            tokens if isinstance(tokens, int) else tokens[start:stop],
+            rows,
+        )
+
+    def _replay_completions(self, plan: RunPlan, run: int) -> List[int]:
+        """Commit the slot side of a completion run's first ``run``
+        iterations; returns the tokens each accepted.
+
+        Each completion at which slots finish replays what
+        :meth:`on_step_done` does there, in order: the finished requests
+        are stamped and their latencies recorded in batch order, the
+        monitor counts them (``observe_finished``), the refill pops the
+        queue, charges queueing and prefill, and restarts the monitor
+        (``begin_batch``). The stretches between are one
+        ``observe_steady`` each. The batch, its slot mirrors and the
+        counters are then set to where the run leaves them.
+        """
+        schedule = plan.completions
+        steady = plan.steady
+        tlp = plan.tlp
+        times = plan.times
+        requests = schedule.requests
+        contexts = schedule.contexts
+        system = self.system
+        observe_steady = system.observe_steady
+        observe_finished = system.observe_finished
+        summary = self.summary
+        latencies = summary.request_latencies
+        popleft = self.waiting.popleft
+        iteration = self._iteration
+        finished_state = RequestState.FINISHED
+        decoding_state = RequestState.DECODING
+        rlp = first = plan.rlp
+        last = served = refilled_context = 0
+        events = bisect_right(schedule.completions, run)
+        for completion, finished, stop, prefill, size in zip(
+            schedule.completions[:events],
+            schedule.finished,
+            schedule.stops,
+            schedule.prefills,
+            schedule.sizes,
+        ):
+            if completion - 1 > last:
+                observe_steady(completion - 1 - last, rlp)
+            now = times[completion - 1]
+            for slot in finished:
+                request = requests[slot]
+                request.generated = request.output_len
+                request.state = finished_state
+                request.finish_iteration = iteration + completion - 1
+                request.finish_s = now
+                latencies.append(max(0.0, now - request.arrival_s))
+                if request.followup is not None:
+                    self.followups.append(request)
+            served += len(finished)
+            observe_finished(len(finished), rlp)
+            rlp = size
+            if stop > first:
+                # _admit's pops, state moves and queueing sum, in order.
+                waited = 0
+                for slot in range(first, stop):
+                    request = requests[slot]
+                    popleft()
+                    request.state = decoding_state
+                    refilled_context += contexts[slot]
+                    waited += max(0.0, now - request.arrival_s)
+                summary.queueing_seconds += waited
+                summary.prefill_seconds += prefill.seconds
+                summary.prefill_energy += prefill.energy_joules
+                system.begin_batch(rlp, self._current_tlp)
+                first = stop
+            last = completion
+        if run > last:
+            observe_steady(run - last, rlp)
+
+        starts = schedule.starts
+        alive = [
+            slot
+            for slot, (start, finish) in enumerate(
+                zip(starts, schedule.finishes)
+            )
+            if start <= run < finish
+        ]
+        decoded = [steady * (run - starts[slot]) for slot in alive]
+        self._commit_slots(
+            [requests[slot] for slot in alive],
+            [schedule.remaining[s] - d for s, d in zip(alive, decoded)],
+            [contexts[s] + d for s, d in zip(alive, decoded)],
+            [schedule.totals[slot] for slot in alive],
+        )
+        tokens = schedule.tokens[:run]
+        rlps = schedule.rlps[:run]
+        accepted = int(tokens.sum())
+        self._remaining_tokens -= accepted
+        self._waiting_context_sum -= refilled_context
+        self._active_context_sum = int(schedule.context_totals[run])
+        self.requests_served += served
+        if tlp > 1:
+            slots = int(rlps.sum())
+            self._drafted_tokens += slots * (tlp - 1)
+            self._accepted_draft_tokens += accepted - slots
+            self._accepted_fraction = ServingEngine._accepted_fraction(
+                int(tokens[-1]), int(rlps[-1]), tlp
+            )
+        else:
+            self._accepted_fraction = 1.0
+        if self.moe is not None:
+            self._fold_experts(rlps, tlp)
+        tokens = tokens.tolist()
+        if summary.detail == "full":
+            finishing = [0] * run
+            for completion, finished in zip(
+                schedule.completions[:events], schedule.finished
+            ):
+                finishing[completion - 1] = len(finished)
+            self._record_iterations(
+                plan, run, tokens, rlps.tolist(), finishing
+            )
+        return tokens
+
+    def _fold_experts(self, rlps: np.ndarray, tlp: int) -> None:
+        """Count the expert traffic of iterations of batch sizes ``rlps``
+        at ``tlp`` (MoE replicas), as one :meth:`on_step_done` per
+        iteration does."""
+        moe = self.moe
+        self.expert_token_visits += (
+            int(rlps.sum()) * tlp * moe.experts_per_token
+        )
+        sizes, where = np.unique(rlps, return_inverse=True)
+        expected = np.asarray(
+            [
+                expected_active_experts(
+                    moe.num_experts, moe.experts_per_token, size * tlp
+                )
+                for size in sizes.tolist()
+            ]
+        )
+        self._active_expert_sum = _add_in_turn(
+            self._active_expert_sum, expected[where]
+        )
+
+    def _record_iterations(self, plan, run, tokens, rlps, finishing) -> None:
+        """Append the ``detail="full"`` records of a run's first ``run``
+        iterations (per-iteration tokens, batch sizes and finishes)."""
+        records = self.summary.records
+        iteration = self._iteration
+        for result, accepted, rlp, finished in zip(
+            plan.results[:run], tokens, rlps, finishing
+        ):
+            records.append(
+                IterationRecord(
+                    iteration=iteration,
+                    result=result,
+                    tokens_accepted=accepted,
+                    rlp_before=rlp,
+                    rlp_after=rlp - finished,
+                )
+            )
+            iteration += 1
 
     def _price_line(self, code: int, rlp: int, tlp: int):
         """The mean-mode price line of ``(code, rlp, tlp)`` and this
@@ -882,6 +1363,31 @@ class Replica:
     def _macro_min_remaining(self) -> int:
         """Fewest output tokens any active request still owes."""
         return min(r.output_len - r.generated for r in self.active)
+
+    def _schedule_completions(
+        self, steady: int, limit: int
+    ) -> Optional[CompletionSchedule]:
+        """Lay out a completion run of at most ``limit`` completions.
+
+        The hook behind :meth:`_plan_completions`. A replica that can
+        carry a run past slot completions returns its
+        :class:`CompletionSchedule` (and commits one through
+        :meth:`_commit_slots`); this one returns ``None``: the scalar
+        oracle's replica keeps its slot state on the request objects and
+        steps every completion.
+        """
+        return None
+
+    def _commit_slots(
+        self,
+        active: List[Request],
+        remaining: List[int],
+        contexts: List[int],
+        totals: List[int],
+    ) -> None:
+        """Install the batch a completion run leaves (see
+        :meth:`_schedule_completions`)."""
+        raise NotImplementedError
 
     def _macro_advance_slots(self, per_slot: int) -> None:
         """Advance every active slot by ``per_slot`` accepted tokens.

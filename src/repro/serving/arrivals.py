@@ -33,6 +33,13 @@ def _require_finite(**arguments: float) -> None:
             raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
+def _require_seed(seed: int) -> None:
+    """Reject a negative seed, naming it (numpy's generator would raise
+    a bare ``ValueError``)."""
+    if seed < 0:
+        raise ConfigurationError("seed must be non-negative")
+
+
 def _require_unstamped(requests: Sequence[Request], process: str) -> None:
     """Reject traces that already carry arrival stamps.
 
@@ -84,14 +91,15 @@ def poisson_arrivals(
         increasing arrival times.
 
     Raises:
-        ConfigurationError: On a non-finite or non-positive rate, an
-            empty trace, or a request already stamped with an arrival
-            time.
+        ConfigurationError: On a non-finite or non-positive rate, a
+            negative seed, an empty trace, or a request already stamped
+            with an arrival time.
     """
     _require_finite(rate_per_s=rate_per_s)
     if rate_per_s <= 0:
         raise ConfigurationError("rate_per_s must be positive")
     _require_unstamped(requests, "poisson_arrivals")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(scale=1.0 / rate_per_s, size=len(requests))
     clock = 0.0
@@ -122,8 +130,8 @@ def bursty_arrivals(
 
     Raises:
         ConfigurationError: On a non-finite argument, a non-positive
-            rate or spacing, a burst size below 1, an empty trace, or an
-            already-stamped trace.
+            rate or spacing, a burst size below 1, a negative seed, an
+            empty trace, or an already-stamped trace.
     """
     _require_finite(
         rate_per_s=rate_per_s, burst_size=burst_size, spacing_s=spacing_s
@@ -135,6 +143,7 @@ def bursty_arrivals(
     if spacing_s <= 0:
         raise ConfigurationError("spacing_s must be positive")
     _require_unstamped(requests, "bursty_arrivals")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     epoch_scale = burst_size / rate_per_s
     clock = 0.0
@@ -173,8 +182,8 @@ def diurnal_arrivals(
 
     Raises:
         ConfigurationError: On a non-finite argument, a non-positive
-            rate or period, a peak-to-trough ratio below 1, an empty
-            trace, or an already-stamped trace.
+            rate or period, a peak-to-trough ratio below 1, a negative
+            seed, an empty trace, or an already-stamped trace.
     """
     _require_finite(
         rate_per_s=rate_per_s, period_s=period_s,
@@ -187,6 +196,7 @@ def diurnal_arrivals(
     if peak_to_trough < 1:
         raise ConfigurationError("peak_to_trough must be at least 1")
     _require_unstamped(requests, "diurnal_arrivals")
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(scale=1.0, size=len(requests))
     swing = (peak_to_trough - 1.0) / (peak_to_trough + 1.0)

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -178,15 +179,17 @@ class RunSummary:
     def fold_run_segments(
         self,
         segments: Sequence[Tuple[IterationResult, int]],
-        tokens_accepted: int,
+        tokens_accepted: Union[int, Sequence[int]],
         rows: Optional[np.ndarray] = None,
     ) -> None:
         """Fold a macro-run of consecutive constant-cost segments.
 
         ``segments`` is an ordered sequence of ``(result, count)`` pairs:
         the run executed ``count`` iterations priced at ``result``, then
-        moved to the next segment. Without ``rows`` each iteration folds
-        through :meth:`fold_iteration`, the reference computation.
+        moved to the next segment. ``tokens_accepted`` is what each
+        iteration accepted: one count for the whole run, or a sequence
+        with one count per segment. Without ``rows`` each iteration
+        folds through :meth:`fold_iteration`, the reference computation.
 
         ``rows``, when given, holds the run's fold rows, one per
         iteration, as a price line (``repro.cluster.replica.PriceLine``)
@@ -197,13 +200,17 @@ class RunSummary:
         whose additions happen in the per-iteration ``+=`` chain's order
         and so round identically.
         """
+        per_segment = not isinstance(tokens_accepted, int)
         if rows is None:
             fold = self.fold_iteration
-            for result, count in segments:
+            tokens = (
+                tokens_accepted if per_segment else repeat(tokens_accepted)
+            )
+            for (result, count), accepted in zip(segments, tokens):
                 if count <= 0:
                     raise ConfigurationError("segment counts must be positive")
                 for _ in range(count):
-                    fold(result, tokens_accepted)
+                    fold(result, accepted)
             return
         first = segments[0][0]
         time_keys = first.time_breakdown.keys()
@@ -220,7 +227,14 @@ class RunSummary:
         np.add.accumulate(mat, axis=0, out=mat)
         final = mat[-1].tolist()
         self.iterations += total
-        self.tokens_generated += tokens_accepted * total
+        self.tokens_generated += (
+            sum(
+                accepted * count
+                for (_, count), accepted in zip(segments, tokens_accepted)
+            )
+            if per_segment
+            else tokens_accepted * total
+        )
         target = first.fc_target._value_
         self.fc_target_iterations[target] = (
             self.fc_target_iterations.get(target, 0) + total

@@ -122,6 +122,8 @@ class SpeculativeSampler:
     _CHUNK = 4096
 
     def __init__(self, config: SpeculationConfig, seed: int = 0) -> None:
+        if seed < 0:
+            raise ConfigurationError("seed must be non-negative")
         self.config = config
         self._rng = np.random.default_rng(seed)
         self._buffer = self._rng.random(0)

@@ -76,8 +76,13 @@ NON_FINITE_INPUTS = [
 BAD_INPUTS = [
     pytest.param(
         lambda tmp_path: ["serve", "--batch", "0"],
-        "count must be positive",
+        "--batch must be positive",
         id="serve-batch-0",
+    ),
+    pytest.param(
+        lambda tmp_path: ["compare", "--batch", "0"],
+        "--batch must be positive",
+        id="compare-batch-0",
     ),
     pytest.param(
         lambda tmp_path: ["serve", "--spec", "0"],

@@ -175,6 +175,23 @@ class TestDiurnalArrivals:
             diurnal_arrivals(stamped, 1.0, 60.0, 4.0, seed=5)
 
 
+@pytest.mark.parametrize(
+    "stamp, shape",
+    [
+        (poisson_arrivals, {}),
+        (bursty_arrivals, {"burst_size": 3.0}),
+        (diurnal_arrivals, {"period_s": 60.0, "peak_to_trough": 2.0}),
+    ],
+)
+def test_negative_seed_rejected_by_name(stamp, shape):
+    """numpy's generator would raise a bare ValueError; the helpers name
+    the argument and stamp nothing."""
+    requests = make_requests(4)
+    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+        stamp(requests, 10.0, seed=-1, **shape)
+    assert not any(r.arrival_stamped for r in requests)
+
+
 class TestDynamicBatching:
     def test_dense_arrivals_fill_batches(self):
         """Section 3.2c: frequent arrivals launch full batches."""

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.models.config import get_model
+from repro.serving.engine import ServingEngine
+from repro.serving.request import Request
 from repro.serving.speculative import SpeculationConfig, SpeculativeSampler
+from repro.systems.registry import build_system
 
 
 class TestSpeculationConfig:
@@ -97,3 +101,26 @@ class TestSampler:
         before = (sampler._pos, sampler._buffer.shape[0])
         sampler.accepted_tokens()
         assert (sampler._pos, sampler._buffer.shape[0]) == before
+
+
+class TestNegativeSeed:
+    """A negative seed is a ConfigurationError naming ``seed``, not
+    numpy's bare ValueError."""
+
+    def test_sampler_rejects_negative_seed(self):
+        config = SpeculationConfig(speculation_length=2)
+        with pytest.raises(ConfigurationError, match="seed must be"):
+            SpeculativeSampler(config, seed=-1)
+
+    def test_engine_with_speculation_rejects_negative_seed(self):
+        engine = ServingEngine(
+            system=build_system("papi"),
+            model=get_model("llama-65b"),
+            speculation=SpeculationConfig(speculation_length=2),
+            seed=-1,
+        )
+        requests = [
+            Request(request_id=i, input_len=16, output_len=8) for i in range(2)
+        ]
+        with pytest.raises(ConfigurationError, match="seed must be"):
+            engine.run(requests)

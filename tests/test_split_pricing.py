@@ -290,6 +290,25 @@ def _first_step(replica, contexts):
 
 
 class TestVectorReplicaKeys:
+    def test_group_shares_fc_halves(self, monkeypatch):
+        """A half is a pure function of the group's configuration and
+        its ``(target, rlp, tlp)`` key, so the second replica's first
+        step composes the half the first one built."""
+        first, second = _vector_pair(bucket=1)
+        assert first.pricer._halves is second.pricer._halves
+        _first_step(first, [100, 300, 500, 700])
+        assert len(first.pricer._halves) == 1
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("half priced twice in one group")
+
+        monkeypatch.setattr(second.system, "step_half", rebuilt)
+        contexts = [200, 200, 600, 600]
+        result, tlp = _first_step(second, contexts)
+        assert_same_price(
+            result, per_request_truth(build_system("papi"), contexts, tlp)
+        )
+
     def test_memo_keys_on_the_bucketed_total(self):
         """Equal raw totals (1595) with different bucketed totals (1600
         and 1536) must not share the group memo's entry."""
@@ -373,3 +392,4 @@ class TestPipelinedTwinsStayApart:
         assert len(fleet._groups) == 2
         assert replicas[0]._price_memo is not replicas[1]._price_memo
         assert replicas[0]._price_lines is not replicas[1]._price_lines
+        assert replicas[0].pricer._halves is not replicas[1].pricer._halves
